@@ -4,21 +4,30 @@
 //! phase that lets every scratch buffer reach its high-water capacity, the
 //! record hot path (seal → open, 10k records with reused scratch) must
 //! perform zero heap allocations.
+//!
+//! The tally is per thread: every measured region runs the record layer
+//! on the test's own thread, so it sees all of that work's allocations
+//! and none of a neighbouring test's, or of the harness's (which
+//! allocates on its own thread whenever a test finishes).
 
 use sgfs_gtls::record::{HalfConn, CT_DATA};
 use sgfs_gtls::suite::CipherSuite;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -27,8 +36,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,8 +44,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOC_CALLS.load(Ordering::SeqCst)
+    ALLOC_CALLS.with(Cell::get)
 }
 
 fn pair(suite: CipherSuite) -> (HalfConn, HalfConn) {

@@ -36,7 +36,10 @@ pub use clock::{ClockMode, LogicalClock, SimClock};
 pub use crash::{CrashInjector, CrashPoint, ALL_CRASH_POINTS};
 pub use fault::{FaultInjector, FaultPlan, FaultStream};
 pub use link::{Link, LinkSpec};
-pub use pipe::{pipe_pair, pipe_pair_over_link, PipeEnd, PipeReader, PipeWatch, PipeWriter};
+pub use pipe::{
+    pipe_pair, pipe_pair_over_link, PipeEnd, PipeGather, PipeReader, PipeWatch, PipeWriter,
+    SendWave,
+};
 pub use poll::{Poller, Readiness, Token};
 pub use spsc::{spsc_channel, Popped, SpscReceiver, SpscSender};
 pub use submit::{submit_ring, SubmitReceiver, SubmitSender};

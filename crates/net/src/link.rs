@@ -75,9 +75,15 @@ impl Link {
     /// direction `dir` (0 or 1), updating counters and the serialization
     /// horizon. The receiver gates on the returned deadline.
     pub fn stamp_send(&self, dir: usize, len: usize) -> Duration {
+        self.stamp_send_at(dir, len, self.clock.now())
+    }
+
+    /// [`stamp_send`](Self::stamp_send) for a message sent at `now`: a
+    /// batch released together reads the clock once and stamps every
+    /// member against that one reading.
+    pub(crate) fn stamp_send_at(&self, dir: usize, len: usize, now: Duration) -> Duration {
         self.bytes[dir].fetch_add(len as u64, Ordering::Relaxed);
         self.messages[dir].fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now();
         let serialization = match self.spec.bandwidth {
             Some(bw) if bw > 0 => Duration::from_nanos((len as u64).saturating_mul(1_000_000_000) / bw),
             _ => Duration::ZERO,

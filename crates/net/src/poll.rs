@@ -94,6 +94,8 @@ impl Poller {
         let mut st = self.shared.state.lock();
         while st.ready.is_empty() {
             match timeout {
+                // A poll: nothing to wait for, so no timed park either.
+                Some(t) if t.is_zero() => return 0,
                 Some(t) => {
                     if self.shared.cond.wait_for(&mut st, t).timed_out() && st.ready.is_empty() {
                         return 0;

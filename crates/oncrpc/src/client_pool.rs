@@ -19,13 +19,22 @@
 //! that makes the shard loops sound applies here (see the shard module
 //! docs): once a watch reports input, a whole record is available, so a
 //! bounded blocking record read inside the loop cannot stall.
+//!
+//! A worker pumps every ready connection before it blocks again, and
+//! only then lets their held sends go, as one [`SendWave`]: calls that
+//! several connections issued together (one per stripe member, say)
+//! leave under one clock reading. A wave that answered callers lingers
+//! briefly first, so their next calls can join it (`LINGER`).
 
-use sgfs_net::{spsc_channel, Poller, Popped, Readiness, SpscReceiver, SpscSender, Token};
+use sgfs_net::{
+    spsc_channel, Poller, Popped, Readiness, SendWave, SpscReceiver, SpscSender, Token,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// What one pump pass decided about a pooled connection.
 pub enum ConnPump {
@@ -48,6 +57,19 @@ pub trait PoolConn: Send {
     /// Drain actionable work. Must not block waiting for new input;
     /// bounded blocking reads after `has_input()` are fine.
     fn pump(&mut self) -> ConnPump;
+    /// Send, as part of `wave`, whatever the pumps since the worker last
+    /// waited held back. The worker calls this for every connection it
+    /// pumped, right before it blocks.
+    fn release_sends(&mut self, wave: &mut SendWave) {
+        let _ = wave;
+    }
+    /// Whether the worker should give this connection's callers a moment
+    /// before releasing: true while it holds sends and callers it
+    /// answered have not called again, so their next calls can still
+    /// join the wave.
+    fn linger(&self) -> bool {
+        false
+    }
 }
 
 /// Token 0 is every worker's pin-handoff inbox; connections start at 1.
@@ -55,6 +77,13 @@ const INBOX: Token = 0;
 
 /// Capacity of each worker's handoff ring.
 const INBOX_CAPACITY: usize = 256;
+
+/// How long, per send wave, a worker waits for callers it answered to
+/// call again before it releases. A closed-loop caller calls again
+/// within a thread wake-up; a call that misses the wave leaves after the
+/// receiver has gated the clock on the wave, and pays a whole extra
+/// one-way latency.
+const LINGER: Duration = Duration::from_micros(200);
 
 struct WorkerHandle {
     /// Producer side of the pin handoff (mutex serializes concurrent
@@ -194,9 +223,36 @@ fn worker_loop(
     let mut next_token: Token = INBOX + 1;
     let mut ready: Vec<Token> = Vec::new();
     let mut closed = false;
+    // Connections pumped since the worker last waited (with repeats).
+    let mut pumped: Vec<Token> = Vec::new();
+    let mut linger_left = LINGER;
+    let mut wave = SendWave::default();
 
     loop {
-        poller.wait(None, &mut ready);
+        // About to block: everything pumped since the last wait leaves
+        // as one send wave — after one short linger if callers were just
+        // answered.
+        let mut n = poller.wait(Some(Duration::ZERO), &mut ready);
+        if n == 0
+            && !linger_left.is_zero()
+            && pumped.iter().any(|t| conns.get(t).is_some_and(|c| c.linger()))
+        {
+            let t0 = Instant::now();
+            n = poller.wait(Some(linger_left), &mut ready);
+            linger_left = linger_left.saturating_sub(t0.elapsed());
+        }
+        if n == 0 {
+            linger_left = LINGER;
+            pumped.sort_unstable();
+            pumped.dedup();
+            for token in pumped.drain(..) {
+                if let Some(conn) = conns.get_mut(&token) {
+                    conn.release_sends(&mut wave);
+                }
+            }
+            wave.finish();
+            poller.wait(None, &mut ready);
+        }
         for &token in &ready {
             if token == INBOX {
                 loop {
@@ -220,6 +276,7 @@ fn worker_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue; // stale readiness for an unpinned connection
             };
+            pumped.push(token);
             match conn.pump() {
                 ConnPump::Idle => {}
                 ConnPump::Rearm => poller.wake(token),
@@ -294,7 +351,8 @@ mod tests {
 
     #[test]
     fn many_conns_fixed_threads() {
-        let before = process_thread_count();
+        let _alone = crate::test_threads::alone();
+        let before = crate::test_threads::quiesced();
         let pool = ClientIoPool::new(2);
         let conns: Vec<_> = (0..64).map(|_| pinned_doubler(&pool)).collect();
         for (i, (tx, _, _)) in conns.iter().enumerate() {
@@ -311,6 +369,7 @@ mod tests {
 
     #[test]
     fn sender_drop_retires_conn() {
+        let _threads = crate::test_threads::shared();
         let pool = ClientIoPool::new(1);
         let (tx, out, retired) = pinned_doubler(&pool);
         tx.push(5).unwrap();
@@ -337,6 +396,7 @@ mod tests {
 
     #[test]
     fn add_conn_fails_fast_after_worker_death() {
+        let _threads = crate::test_threads::shared();
         let pool = ClientIoPool::new(1);
         let (tx, rx) = submit_ring(4);
         pool.add_conn(Box::new(PanicOnPump { rx })).unwrap();
@@ -364,7 +424,8 @@ mod tests {
 
     #[test]
     fn shutdown_drops_pinned_conns_and_joins() {
-        let before = process_thread_count();
+        let _alone = crate::test_threads::alone();
+        let before = crate::test_threads::quiesced();
         let pool = ClientIoPool::new(2);
         let (tx, _out, retired) = pinned_doubler(&pool);
         pool.shutdown();

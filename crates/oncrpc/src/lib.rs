@@ -45,3 +45,39 @@ pub use shard::{
 
 /// The fixed RPC protocol version this crate speaks.
 pub const RPC_VERSION: u32 = 2;
+
+/// The process thread count is global: tests that assert on it run
+/// alone, while every test here that starts threads holds this lock
+/// shared, and they measure from a quiesced baseline.
+#[cfg(test)]
+pub(crate) mod test_threads {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+    use std::time::Duration;
+
+    static PROCESS: RwLock<()> = RwLock::new(());
+
+    /// Held by every test that starts threads.
+    pub fn shared() -> RwLockReadGuard<'static, ()> {
+        PROCESS.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Held by a test that reads the process thread count.
+    pub fn alone() -> RwLockWriteGuard<'static, ()> {
+        PROCESS.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The thread count once it has held still for 10 ms (threads of
+    /// finished tests may still be exiting).
+    pub fn quiesced() -> Option<usize> {
+        let mut last = crate::process_thread_count()?;
+        for _ in 0..200 {
+            std::thread::sleep(Duration::from_millis(10));
+            let now = crate::process_thread_count()?;
+            if now == last {
+                break;
+            }
+            last = now;
+        }
+        Some(last)
+    }
+}

@@ -152,11 +152,13 @@ mod tests {
 
     #[test]
     fn null_call() {
+        let _threads = crate::test_threads::shared();
         start().null().unwrap();
     }
 
     #[test]
     fn doubles_values() {
+        let _threads = crate::test_threads::shared();
         let mut c = start();
         for v in [0u32, 1, 21, 1 << 30] {
             let r: u32 = c.call(1, &v).unwrap();
@@ -166,6 +168,7 @@ mod tests {
 
     #[test]
     fn echo_large_payload() {
+        let _threads = crate::test_threads::shared();
         let mut c = start();
         let data: Vec<u8> = (0..100_000).map(|i| (i % 256) as u8).collect();
         let r: Vec<u8> = c.call(2, &data).unwrap();
@@ -174,6 +177,7 @@ mod tests {
 
     #[test]
     fn many_sequential_calls_share_connection() {
+        let _threads = crate::test_threads::shared();
         let mut c = start();
         for i in 0..500u32 {
             let r: u32 = c.call(1, &i).unwrap();
@@ -183,6 +187,7 @@ mod tests {
 
     #[test]
     fn unknown_procedure() {
+        let _threads = crate::test_threads::shared();
         let mut c = start();
         match c.call_raw(42, &7u32) {
             Err(RpcError::Accepted(AcceptStat::ProcUnavail)) => {}
@@ -192,6 +197,7 @@ mod tests {
 
     #[test]
     fn wrong_program_number() {
+        let _threads = crate::test_threads::shared();
         let (client_end, server_end) = pipe_pair();
         spawn_connection(Box::new(server_end), Arc::new(Doubler));
         let mut c = RpcClient::new(Box::new(client_end), 0x2000_9999, 1);
@@ -203,6 +209,7 @@ mod tests {
 
     #[test]
     fn wrong_version() {
+        let _threads = crate::test_threads::shared();
         let (client_end, server_end) = pipe_pair();
         spawn_connection(Box::new(server_end), Arc::new(Doubler));
         let mut c = RpcClient::new(Box::new(client_end), 0x2000_0001, 9);
@@ -214,6 +221,7 @@ mod tests {
 
     #[test]
     fn denied_call() {
+        let _threads = crate::test_threads::shared();
         let mut c = start();
         match c.call_raw(3, &0u32) {
             Err(RpcError::Denied(AuthStat::TooWeak)) => {}
@@ -223,6 +231,7 @@ mod tests {
 
     #[test]
     fn garbage_args_reported() {
+        let _threads = crate::test_threads::shared();
         let mut c = start();
         // proc 1 wants a u32; send nothing.
         match c.call_raw(1, &crate::client::NoArgs) {
@@ -233,6 +242,7 @@ mod tests {
 
     #[test]
     fn server_eof_reported() {
+        let _threads = crate::test_threads::shared();
         let (client_end, server_end) = pipe_pair();
         drop(server_end);
         let mut c = RpcClient::new(Box::new(client_end), 1, 1);

@@ -22,11 +22,27 @@
 //! no restartable partial-record state machine, and GTLS renegotiation
 //! (a blocking ping-pong driven by the client) works unchanged. An
 //! abandoned partial record always ends in channel close → EOF error →
-//! session teardown, never an indefinite stall.
+//! session teardown, never an indefinite stall. Held sends (below) do
+//! not change this: a held record is queued whole or not at all, and a
+//! reader about to block releases its own endpoint's held sends first.
+//!
+//! # Send waves
+//!
+//! Replies leave in waves, so a window of requests that arrived together
+//! is answered under one arrival stamp (DESIGN.md §4, "single-stamp rule
+//! for batches"). A visit holds the session's sends at its wire
+//! ([`sgfs_net::PipeGather`]); a session that runs out of queued input
+//! joins the shard's wave; the wave is released against one clock
+//! reading when the run queue empties (after one last non-blocking look
+//! for arrivals) or once every session queued when it opened has had its
+//! visit. A session whose held bytes pass
+//! [`AdmissionPolicy::session_backlog_cap`] sends them at once.
 
 use crate::record::{read_record_into, write_record_with};
 use crate::server::{process_record, RpcService};
-use sgfs_net::{spsc_channel, BoxStream, PipeWatch, Poller, Popped, SpscReceiver, SpscSender, Token};
+use sgfs_net::{
+    spsc_channel, BoxStream, PipeWatch, Poller, Popped, SendWave, SpscReceiver, SpscSender, Token,
+};
 use sgfs_obs::{peek_proc, peek_xid, Hop, Obs, NO_PROC};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -344,6 +360,8 @@ struct PinnedSession {
     backlog: usize,
     /// Already sitting in the run queue (dedup for readiness storms).
     queued: bool,
+    /// Already listed for the shard's next send wave.
+    in_wave: bool,
 }
 
 /// What one pump pass decided about a session.
@@ -354,6 +372,53 @@ enum Pump {
     Idle,
     /// EOF or error: unpin and drop.
     Gone,
+}
+
+/// The shard's open send wave: sessions that ran out of input, whose
+/// held replies leave together — stamped against one clock reading —
+/// when the shard is about to block, or once every session queued when
+/// the wave opened has had its visit (so a reply waits at most one DRR
+/// round).
+#[derive(Default)]
+struct Wave {
+    members: Vec<Token>,
+    /// Visit count at which the open wave is due.
+    due: usize,
+    /// Reused across waves, so a steady state allocates nothing here.
+    send: SendWave,
+}
+
+impl Wave {
+    fn join(&mut self, token: Token, session: &mut PinnedSession, due: usize) {
+        if session.in_wave {
+            return;
+        }
+        if self.members.is_empty() {
+            self.due = due;
+        }
+        session.in_wave = true;
+        self.members.push(token);
+    }
+
+    fn is_open(&self) -> bool {
+        !self.members.is_empty()
+    }
+
+    fn is_due(&self, idle: bool, visits: usize) -> bool {
+        self.is_open() && (idle || visits >= self.due)
+    }
+
+    /// A failed release means the peer is gone; its close has already
+    /// fired the watch and the session's next visit unpins it.
+    fn release(&mut self, sessions: &mut HashMap<Token, PinnedSession>) {
+        for token in self.members.drain(..) {
+            if let Some(session) = sessions.get_mut(&token) {
+                session.in_wave = false;
+                let _ = session.watch.gather().release_in(&mut self.send);
+            }
+        }
+        self.send.finish();
+    }
 }
 
 /// Re-sample one session's wire backlog and fold the delta into the
@@ -390,13 +455,26 @@ fn shard_loop(
     let mut scratch: Vec<u8> = Vec::new();
     let mut closed = false;
     let mut overloaded = false;
+    let mut wave = Wave::default();
+    let mut visits: usize = 0;
 
     loop {
-        // With backlogged sessions the poll is non-blocking, so new
-        // arrivals and the accept inbox are still noticed every visit —
-        // sustained overload cannot starve the INBOX.
-        let timeout = if run.is_empty() { None } else { Some(Duration::ZERO) };
-        poller.wait(timeout, &mut ready);
+        // Before an idle shard lets its wave go, one last non-blocking
+        // look: sessions whose records arrived with the wave's own join
+        // it rather than leave a wire-time later.
+        let arrived = run.is_empty()
+            && wave.is_open()
+            && poller.wait(Some(Duration::ZERO), &mut ready) > 0;
+        if !arrived {
+            if wave.is_due(run.is_empty(), visits) {
+                wave.release(&mut sessions);
+            }
+            // With backlogged sessions the poll is non-blocking, so new
+            // arrivals and the accept inbox are still noticed every
+            // visit — sustained overload cannot starve the INBOX.
+            let timeout = if run.is_empty() { None } else { Some(Duration::ZERO) };
+            poller.wait(timeout, &mut ready);
+        }
         for &token in &ready {
             if token == INBOX {
                 loop {
@@ -421,6 +499,7 @@ fn shard_loop(
                                     deficit: 0,
                                     backlog: 0,
                                     queued: false,
+                                    in_wave: false,
                                 },
                             );
                         }
@@ -449,6 +528,7 @@ fn shard_loop(
         // waiting neighbor if input remains.
         let Some(token) = run.pop_front() else { continue };
         let Some(session) = sessions.get_mut(&token) else { continue };
+        visits += 1;
         session.queued = false;
         resample_backlog(session, &gauges);
         if !overloaded && gauges.backlog.load(Ordering::Relaxed) > policy.shard_backlog_budget {
@@ -457,9 +537,14 @@ fn shard_loop(
             obs.emit(Hop::Overload, shard_index as u32, NO_PROC, 1);
         }
         session.deficit = (session.deficit + policy.quantum).min(2 * policy.quantum);
+        // Replies to the records this session drains are held until it
+        // runs out of input, then leave with the shard's send wave (see
+        // `Send waves` in the module docs).
+        session.watch.gather().hold();
         match pump_session(session, &mut record, &mut scratch, &gauges, &obs, &policy, overloaded)
         {
             Pump::Idle => {
+                wave.join(token, session, visits + run.len());
                 session.deficit = 0;
                 resample_backlog(session, &gauges);
             }
@@ -523,7 +608,7 @@ fn pump_session(
                                 peek_proc(record),
                                 backlog as u64,
                             );
-                            if write_record_with(&mut session.stream, &reply, scratch).is_err() {
+                            if !send_reply(session, &reply, scratch, policy) {
                                 return Pump::Gone;
                             }
                             continue;
@@ -536,7 +621,7 @@ fn pump_session(
                     // Count before the reply leaves: a peer that has seen
                     // the reply must also see it counted.
                     gauges.served.fetch_add(1, Ordering::Relaxed);
-                    if write_record_with(&mut session.stream, &reply, scratch).is_err() {
+                    if !send_reply(session, &reply, scratch, policy) {
                         return Pump::Gone;
                     }
                 }
@@ -555,6 +640,28 @@ fn pump_session(
     } else {
         Pump::Idle
     }
+}
+
+/// Write one reply into the session's held batch; once the held bytes
+/// pass the session backlog cap, send the batch and keep holding.
+/// `false` means the session is gone.
+fn send_reply(
+    session: &mut PinnedSession,
+    reply: &[u8],
+    scratch: &mut Vec<u8>,
+    policy: &AdmissionPolicy,
+) -> bool {
+    if write_record_with(&mut session.stream, reply, scratch).is_err() {
+        return false;
+    }
+    let gather = session.watch.gather();
+    if gather.held_bytes() > policy.session_backlog_cap {
+        if gather.release().is_err() {
+            return false;
+        }
+        gather.hold();
+    }
+    true
 }
 
 /// Threads currently live in this process, from `/proc/self/status`
@@ -613,6 +720,7 @@ mod tests {
 
     #[test]
     fn single_session_roundtrips() {
+        let _threads = crate::test_threads::shared();
         let server = ShardServer::new(2);
         let mut c = connect(&server);
         for v in [1u32, 2, 99] {
@@ -626,7 +734,8 @@ mod tests {
 
     #[test]
     fn many_sessions_few_threads() {
-        let before = process_thread_count();
+        let _alone = crate::test_threads::alone();
+        let before = crate::test_threads::quiesced();
         let server = ShardServer::new(4);
         let mut clients: Vec<RpcClient> = (0..64).map(|_| connect(&server)).collect();
         for (i, c) in clients.iter_mut().enumerate() {
@@ -645,6 +754,7 @@ mod tests {
 
     #[test]
     fn session_close_unpins() {
+        let _threads = crate::test_threads::shared();
         let server = ShardServer::new(1);
         let c = connect(&server);
         drop(c);
@@ -660,6 +770,7 @@ mod tests {
 
     #[test]
     fn shutdown_drops_sessions_and_joins() {
+        let _threads = crate::test_threads::shared();
         let server = ShardServer::new(3);
         let mut c = connect(&server);
         let r: u32 = c.call(1, &21).unwrap();
@@ -680,6 +791,7 @@ mod tests {
 
     #[test]
     fn interleaved_sessions_on_one_shard() {
+        let _threads = crate::test_threads::shared();
         let server = ShardServer::new(1);
         let mut clients: Vec<RpcClient> = (0..8).map(|_| connect(&server)).collect();
         for round in 0..50u32 {

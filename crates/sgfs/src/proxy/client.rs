@@ -1268,26 +1268,30 @@ impl ClientProxy {
             }
         }
         // Fan out: every member's batch is submitted before any reply is
-        // awaited.
-        let mut pending = Vec::new();
-        for (m, records) in records_of.into_iter().enumerate() {
-            if records.is_empty() {
-                continue;
-            }
-            let replies = set.member(m).submit_batch(records);
-            pending.push((m, replies));
-        }
+        // awaited, the copies made first so the batches reach their
+        // pipelines back to back. The records are kept so a shed WRITE
+        // can be re-sent verbatim to the member that shed it.
+        let batches: Vec<(usize, Vec<Vec<u8>>)> = (0..width)
+            .filter(|&m| !records_of[m].is_empty())
+            .map(|m| (m, records_of[m].clone()))
+            .collect();
+        let pending: Vec<_> = batches
+            .into_iter()
+            .map(|(m, records)| (m, set.member(m).submit_batch(records)))
+            .collect();
         let mut confirmed: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut member_verf: Vec<Option<u64>> = vec![None; width];
         let mut verifier_changed = false;
         for (m, replies) in pending {
+            let member = set.member(m);
             let mut dead = false;
-            for (offset, reply) in offsets_of[m].iter().zip(replies) {
+            let calls = offsets_of[m].iter().zip(&records_of[m]).zip(replies);
+            for ((offset, record), reply) in calls {
                 if dead {
                     self.missed[m].insert((fh.clone(), *offset));
                     continue;
                 }
-                match collect_write_reply(reply) {
+                match collect_write_reply(&member, &self.stats, &self.retry, record, reply) {
                     Ok(verf) => {
                         if *member_verf[m].get_or_insert(verf) != verf {
                             verifier_changed = true;
@@ -1324,45 +1328,49 @@ impl ClientProxy {
             self.redirty(fh, &dirty);
             return Err(e);
         }
-        // One COMMIT per member that confirmed writes; each replica's
-        // verifier contract is enforced independently. A member holds
-        // only its mapped blocks, so its own file size undershoots the
-        // file whenever it lacks the final block — after its COMMIT
-        // confirms, mirror the client-visible size so *any* member can
-        // serve GETATTR/LOOKUP for the file.
+        // One COMMIT per member that confirmed writes, all submitted
+        // before any is awaited; each replica's verifier contract is
+        // enforced independently. A member holds only its mapped blocks,
+        // so its own file size undershoots the file whenever it lacks the
+        // final block — once its COMMIT confirms, mirror the client-
+        // visible size (again one fan-out) so *any* member can serve
+        // GETATTR/LOOKUP for the file. A member failing either call has
+        // WRITEs that are not stable there, or a stale size.
+        let writers: Vec<usize> = (0..width).filter(|&m| member_verf[m].is_some()).collect();
+        let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
+        let commits: Vec<Option<CommitRes>> =
+            self.fan_out(set, &writers, procnum::COMMIT, &commit);
         let mut commit_after: Option<Fattr3> = None;
-        let file_size = self.meta.attrs.get(fh).map(|a| a.size);
-        for m in 0..width {
-            let Some(write_verf) = member_verf[m] else { continue };
-            self.next_xid = self.next_xid.wrapping_add(1);
-            let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
-            let res: Result<CommitRes, ()> = call_via(
-                &set.member(m),
-                self.next_xid,
-                procnum::COMMIT,
-                &self.client_cred,
-                &commit,
-            );
-            let committed = match res {
-                Ok(res) if res.status == NfsStat3::Ok => {
-                    if res.verf != write_verf {
-                        verifier_changed = true;
-                    }
-                    if commit_after.is_none() {
-                        commit_after = res.wcc.after;
-                    }
-                    self.mirror_size(set, m, fh, file_size)
-                }
-                _ => false,
+        let mut committed: Vec<usize> = Vec::new();
+        for (&m, res) in writers.iter().zip(commits) {
+            let Some(res) = res.filter(|r| r.status == NfsStat3::Ok) else { continue };
+            if Some(res.verf) != member_verf[m] {
+                verifier_changed = true;
+            }
+            if commit_after.is_none() {
+                commit_after = res.wcc.after;
+            }
+            committed.push(m);
+        }
+        if let Some(size) = self.meta.attrs.get(fh).map(|a| a.size) {
+            let sa = SetAttrArgs {
+                object: fh.clone(),
+                new_attributes: Sattr3 { size: Some(size), ..Default::default() },
             };
-            if committed {
+            let mirrors: Vec<Option<WccRes>> =
+                self.fan_out(set, &committed, procnum::SETATTR, &sa);
+            let mut mirrors = mirrors.into_iter();
+            committed.retain(|_| {
+                mirrors.next().flatten().is_some_and(|r| r.status == NfsStat3::Ok)
+            });
+        }
+        for &m in &writers {
+            if committed.contains(&m) {
                 self.stats.add_replica_write();
                 if let Some(obs) = self.stats.obs() {
                     obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
                 }
             } else {
-                // The member's WRITEs landed but its COMMIT (or the size
-                // mirror behind it) did not: they are not stable there.
                 // Fail the member over and strike it from every block it
                 // confirmed.
                 self.fail_member(set, m);
@@ -1405,27 +1413,41 @@ impl ClientProxy {
         Ok(FlushOutcome::Committed)
     }
 
-    /// Mirror the file's client-visible size to member `m` (best-effort
-    /// SETATTR after its COMMIT confirmed). Returns `false` when the
-    /// member died or rejected the call — the caller fails it over, since
-    /// a member with a stale size cannot serve a consistent view.
-    fn mirror_size(&mut self, set: &StripeSet, m: usize, fh: &Fh3, size: Option<u64>) -> bool {
-        let Some(size) = size else { return true };
-        self.next_xid = self.next_xid.wrapping_add(1);
-        let sa = SetAttrArgs {
-            object: fh.clone(),
-            new_attributes: Sattr3 { size: Some(size), ..Default::default() },
-        };
-        matches!(
-            call_via::<WccRes>(
-                &set.member(m),
-                self.next_xid,
-                procnum::SETATTR,
-                &self.client_cred,
-                &sa,
-            ),
-            Ok(r) if r.status == NfsStat3::Ok
-        )
+    /// Send one call to each of `members`, every one submitted before
+    /// any reply is awaited, and decode each member's result in order:
+    /// `None` when the member died or answered something undecodable. A
+    /// shed reply (JUKEBOX: not executed) is re-sent to the member that
+    /// shed it, so pushback is never taken for member death.
+    fn fan_out<T: XdrDecode>(
+        &mut self,
+        set: &StripeSet,
+        members: &[usize],
+        proc: u32,
+        args: &dyn XdrEncode,
+    ) -> Vec<Option<T>> {
+        let records: Vec<Vec<u8>> = members
+            .iter()
+            .map(|_| {
+                self.next_xid = self.next_xid.wrapping_add(1);
+                encode_call(self.next_xid, proc, &self.client_cred, args)
+            })
+            .collect();
+        let pending: Vec<_> =
+            members.iter().zip(&records).map(|(&m, r)| set.member(m).submit(r.clone())).collect();
+        members
+            .iter()
+            .zip(records)
+            .zip(pending)
+            .map(|((&m, record), pending)| {
+                let reply = pending
+                    .wait()
+                    .and_then(|r| {
+                        settle_jukebox(&set.member(m), &self.stats, &self.retry, &record, r)
+                    })
+                    .ok()?;
+                T::from_xdr_bytes(success_body(&reply)?).ok()
+            })
+            .collect()
     }
 
     fn hit_crash(&self, point: CrashPoint) -> std::io::Result<()> {
@@ -1834,11 +1856,12 @@ impl ClientProxy {
             self.next_xid = self.next_xid.wrapping_add(1);
             let record =
                 encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args);
-            pending.push(set.member(m).submit(record));
+            pending.push((set.member(m).submit(record.clone()), record));
         }
+        let member = set.member(m);
         let mut verf: Option<u64> = None;
-        for reply in pending {
-            let v = collect_write_reply(reply)?;
+        for (reply, record) in pending {
+            let v = collect_write_reply(&member, &self.stats, &self.retry, &record, reply)?;
             if *verf.get_or_insert(v) != v {
                 return Err(std::io::Error::other(
                     "replica write verifier changed during re-sync",
@@ -2032,9 +2055,17 @@ fn fail_member_via(stats: &ProxyStats, set: &StripeSet, m: usize) {
     }
 }
 
-/// Await one write-back WRITE reply and extract its write verifier.
-fn collect_write_reply(reply: crate::proxy::pipeline::PendingReply) -> std::io::Result<u64> {
-    parse_write_verf(&reply.wait()?)
+/// Await one write-back WRITE reply — re-sending `record` to `member`
+/// while it answers JUKEBOX — and extract its write verifier.
+fn collect_write_reply(
+    member: &Pipeline,
+    stats: &ProxyStats,
+    retry: &crate::config::RetryPolicy,
+    record: &[u8],
+    reply: crate::proxy::pipeline::PendingReply,
+) -> std::io::Result<u64> {
+    let reply = settle_jukebox(member, stats, retry, record, reply.wait()?)?;
+    parse_write_verf(&reply)
 }
 
 /// Extract the write verifier from a raw WRITE reply record.
@@ -2130,7 +2161,6 @@ fn settle_jukebox(
         if !crate::proxy::retry::is_jukebox_reply(&reply) {
             return Ok(reply);
         }
-        stats.add_jukebox_retry();
         if let Some(obs) = stats.obs() {
             obs.emit(
                 sgfs_obs::Hop::JukeboxRetry,
@@ -2140,6 +2170,7 @@ fn settle_jukebox(
             );
         }
         std::thread::sleep(backoff);
+        stats.add_jukebox_retry(backoff);
         backoff = (backoff * 2).min(retry.backoff_cap);
         reply = pipeline.call(record.to_vec())?;
     }

@@ -53,6 +53,12 @@
 //! pending rekey request. Without a reconnector any transport error
 //! remains terminal, as before.
 //!
+//! Gathered sends: calls admitted in a pump pass are held at the raw
+//! transport ([`sgfs_net::PipeGather`], reached through the watch) and
+//! the pool worker releases them with its send wave just before it
+//! blocks, so a window leaves under one arrival stamp instead of one
+//! stamp per record (DESIGN.md §4, §9).
+//!
 //! Blocking inside the pump: the emulated transport's `Stream` objects
 //! are not splittable into read/write halves, so one pump alternates
 //! between admitting writes and collecting replies. Replies are only
@@ -70,7 +76,9 @@ use crate::config::RetryPolicy;
 use crate::proxy::retry::{self, Reconnector};
 use crate::stats::ProxyStats;
 use crate::proxy::client::Upstream;
-use sgfs_net::{submit_ring, PipeWatch, Popped, Readiness, SubmitReceiver, SubmitSender};
+use sgfs_net::{
+    submit_ring, PipeWatch, Popped, Readiness, SendWave, SubmitReceiver, SubmitSender,
+};
 use sgfs_oncrpc::record::{is_transient_io, read_record_into, write_record_with};
 use sgfs_oncrpc::{ClientIoPool, ConnPump, PoolConn};
 use std::collections::{HashMap, VecDeque};
@@ -311,6 +319,7 @@ impl Pipeline {
             reply_buf: Vec::new(),
             reply_high_water: 0,
             write_scratch: Vec::new(),
+            owed: 0,
         };
         pool.add_conn(Box::new(state))?;
         Ok(Self {
@@ -450,6 +459,10 @@ struct IoState {
     /// high-water mark, not per-read capacity deltas.
     reply_high_water: usize,
     write_scratch: Vec<u8>,
+    /// Replies handed to callers not yet followed by a call, since the
+    /// last release that sent anything (closed-loop callers call again
+    /// soon; see `PoolConn::linger`).
+    owed: usize,
 }
 
 impl PoolConn for IoState {
@@ -464,6 +477,43 @@ impl PoolConn for IoState {
     }
 
     fn pump(&mut self) -> ConnPump {
+        // Every call admitted in the pass is held at the transport; the
+        // worker releases it with its send wave before it next blocks,
+        // so a window leaves under one arrival stamp instead of one
+        // stamp per record.
+        self.watch.gather().hold();
+        self.pump_pass()
+    }
+
+    fn release_sends(&mut self, wave: &mut SendWave) {
+        let gather = self.watch.gather();
+        if gather.held_bytes() > 0 {
+            self.owed = 0;
+        }
+        // A failed release means the peer is gone; its close has already
+        // fired the watch, and the next pass recovers.
+        let _ = gather.release_in(wave);
+    }
+
+    fn linger(&self) -> bool {
+        self.owed > 0 && self.watch.gather().held_bytes() > 0
+    }
+}
+
+impl Drop for IoState {
+    fn drop(&mut self) {
+        if !self.retired {
+            // Pool-shutdown path: the worker dropped us without a clean
+            // retirement. Flush every waiter (and the depth gauge)
+            // before signalling so no stat is lost.
+            self.fail_channel(&broken("client I/O pool shut down"));
+        }
+        self.gate.set();
+    }
+}
+
+impl IoState {
+    fn pump_pass(&mut self) -> ConnPump {
         for _ in 0..MAX_PUMP {
             match self.pump_once() {
                 Ok(Step::Progress) => {}
@@ -485,21 +535,7 @@ impl PoolConn for IoState {
         // unconditionally costs at most one extra (idle) pass.
         ConnPump::Rearm
     }
-}
 
-impl Drop for IoState {
-    fn drop(&mut self) {
-        if !self.retired {
-            // Pool-shutdown path: the worker dropped us without a clean
-            // retirement. Flush every waiter (and the depth gauge)
-            // before signalling so no stat is lost.
-            self.fail_channel(&broken("client I/O pool shut down"));
-        }
-        self.gate.set();
-    }
-}
-
-impl IoState {
     fn retire(&mut self) {
         self.retired = true;
         self.gate.set();
@@ -555,6 +591,9 @@ impl IoState {
             // (full fresh handshake) satisfies them.
             self.rekey_due = false;
             self.calls_since_rekey = 0;
+            // Handshake flights go out as they are written, never behind
+            // a held batch.
+            self.watch.gather().release()?;
             renegotiate(&mut self.upstream, &self.shared)?;
             for w in self.rekey_waiters.drain(..) {
                 let _ = w.send(Ok(()));
@@ -632,6 +671,7 @@ impl IoState {
             InFlight { orig_xid, record, replay, proc, sent_at: Instant::now(), reply_tx },
         );
         self.stats.pipeline_admitted(self.in_flight.len() as u64);
+        self.owed = self.owed.saturating_sub(1);
         self.calls_since_rekey += 1;
         if self.rekey_every.is_some_and(|n| self.calls_since_rekey >= n) {
             self.rekey_due = true;
@@ -699,6 +739,7 @@ impl IoState {
         call.record[0..4].copy_from_slice(&call.orig_xid);
         self.reply_buf.clear();
         self.stats.pipeline_completed(self.in_flight.len() as u64);
+        self.owed += 1;
         // The caller may have given up on the reply; channel teardown
         // handles the rest.
         let _ = call.reply_tx.send(Ok(call.record));

@@ -100,6 +100,8 @@ pub struct ProxyStats {
     /// JUKEBOX replies the client side absorbed by backing off and
     /// retrying the identical record.
     jukebox_retries: AtomicU64,
+    /// Nanoseconds slept backing off before those retries.
+    jukebox_backoff_nanos: AtomicU64,
     /// (sample_time, cumulative_busy) pairs for utilization series.
     samples: Mutex<Vec<(Duration, Duration)>>,
     /// The observability domain this proxy emits trace events and latency
@@ -346,14 +348,21 @@ impl ProxyStats {
         self.overloaded.load(Ordering::Relaxed)
     }
 
-    /// One JUKEBOX reply absorbed client-side (backoff + verbatim retry).
-    pub fn add_jukebox_retry(&self) {
+    /// One JUKEBOX reply absorbed client-side: slept `backoff`, then
+    /// retried verbatim.
+    pub fn add_jukebox_retry(&self, backoff: Duration) {
         self.jukebox_retries.fetch_add(1, Ordering::Relaxed);
+        self.jukebox_backoff_nanos.fetch_add(backoff.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// JUKEBOX retries performed by the client side so far.
     pub fn jukebox_retries(&self) -> u64 {
         self.jukebox_retries.load(Ordering::Relaxed)
+    }
+
+    /// Total backoff slept before JUKEBOX retries.
+    pub fn jukebox_backoff(&self) -> Duration {
+        Duration::from_nanos(self.jukebox_backoff_nanos.load(Ordering::Relaxed))
     }
 
     /// Cumulative busy time.

@@ -8,6 +8,12 @@
 //! the reply-channel plumbing. A per-reply `clone()` of the record —
 //! the regression this test pins down — would add a full record's worth
 //! of bytes to every call and trip the budget immediately.
+//!
+//! The counter is process-global, and pool and shard threads allocate on
+//! behalf of the test that drives them, so a per-thread tally would miss
+//! real costs. Instead every test holds one binary-wide lock: under the
+//! default parallel harness no other test allocates inside a measured
+//! region.
 
 use sgfs::proxy::client::Upstream;
 use sgfs::proxy::pipeline::Pipeline;
@@ -16,6 +22,7 @@ use sgfs_net::pipe_pair;
 use sgfs_oncrpc::record::{read_record_into, write_record_with};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -42,6 +49,13 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 fn alloc_bytes() -> u64 {
     ALLOC_BYTES.load(Ordering::SeqCst)
+}
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Run one measuring test at a time (a failed test poisons nothing).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Echoes records verbatim with reused buffers: the server side settles
@@ -93,6 +107,7 @@ impl sgfs_oncrpc::RecordService for ShardEcho {
 
 #[test]
 fn reply_handoff_is_clone_free_at_steady_state() {
+    let _serial = serial();
     let (client_end, server_end) = pipe_pair();
     frugal_echo_server(server_end);
     let watch = client_end.watch();
@@ -131,6 +146,7 @@ fn reply_handoff_is_clone_free_at_steady_state() {
 /// of the scratch) would multiply the budget and fail.
 #[test]
 fn shard_buffers_hold_high_water_across_interleaved_sessions() {
+    let _serial = serial();
     const SESSIONS: usize = 8;
     let shards = sgfs_oncrpc::ShardServer::new(1);
     let mut ends = Vec::new();
@@ -184,4 +200,88 @@ fn shard_buffers_hold_high_water_across_interleaved_sessions() {
 
     let stats = shards.stats();
     assert_eq!(stats.served, (ROUNDS + 4) * SESSIONS as u64, "every call shard-served");
+}
+
+/// A window's worth of calls submitted together leaves as one gathered
+/// send per pump pass. The gather must not cost the pump its steady
+/// state: the per-call budget is the serial one above, so a per-batch
+/// buffer in the gather path (or in batch admission) would trip it.
+#[test]
+fn windowed_batches_hold_the_per_call_budget() {
+    let _serial = serial();
+    let (client_end, server_end) = pipe_pair();
+    frugal_echo_server(server_end);
+    let watch = client_end.watch();
+    let p =
+        Pipeline::new(Upstream::Plain(Box::new(client_end)), watch, 4, None, ProxyStats::new());
+    let batch = |round: u32| {
+        let records = (0..4).map(|i| call_record(round * 4 + i)).collect();
+        for (i, reply) in p.submit_batch(records).into_iter().enumerate() {
+            let reply = reply.wait().expect("echo reply");
+            assert_eq!(reply.len(), RECORD_LEN);
+            assert_eq!(&reply[0..4], &(round * 4 + i as u32).to_be_bytes(), "xid restored");
+        }
+    };
+    for round in 0..16 {
+        batch(round);
+    }
+
+    const ROUNDS: u64 = 32;
+    let before = alloc_bytes();
+    for round in 16..16 + ROUNDS as u32 {
+        batch(round);
+    }
+    let per_call = (alloc_bytes() - before) / (ROUNDS * 4);
+    let budget = (3 * RECORD_LEN + 4096) as u64;
+    assert!(
+        per_call < budget,
+        "windowed steady-state allocations {per_call} B/call exceed budget {budget} B/call"
+    );
+}
+
+/// The gather handle itself: holding and releasing a batch allocates
+/// exactly the message copies the emulated pipe always makes (one per
+/// write call) — the held list is reused, never regrown per batch.
+#[test]
+fn gathered_batches_allocate_only_their_message_copies() {
+    let _serial = serial();
+    const MSG: usize = 1024;
+    const PER_BATCH: usize = 8;
+    let (mut a, mut b) = pipe_pair();
+    let gather = a.gather();
+    let msg = vec![0x5au8; MSG];
+    let mut got = vec![0u8; MSG];
+    let mut round = |a: &mut sgfs_net::PipeEnd, b: &mut sgfs_net::PipeEnd| {
+        gather.hold();
+        for _ in 0..PER_BATCH {
+            std::io::Write::write_all(a, &msg).unwrap();
+        }
+        assert_eq!(gather.held_bytes(), PER_BATCH * MSG);
+        gather.release().unwrap();
+        for _ in 0..PER_BATCH {
+            std::io::Read::read_exact(b, &mut got).unwrap();
+        }
+    };
+    for _ in 0..4 {
+        round(&mut a, &mut b);
+    }
+
+    // Exact accounting, so the quietest of a few blocks is taken: a
+    // detached thread of an earlier test exiting mid-block is not ours.
+    const ROUNDS: u64 = 16;
+    let per_batch = (0..4)
+        .map(|_| {
+            let before = alloc_bytes();
+            for _ in 0..ROUNDS {
+                round(&mut a, &mut b);
+            }
+            (alloc_bytes() - before) / ROUNDS
+        })
+        .min()
+        .unwrap();
+    assert_eq!(
+        per_batch,
+        (PER_BATCH * MSG) as u64,
+        "a gathered batch may allocate only its message copies"
+    );
 }

@@ -33,7 +33,7 @@ use sgfs_oncrpc::{CallHeader, ClientIoPool, OpaqueAuth, ReplyHeader};
 use sgfs_xdr::{XdrDecode, XdrDecoder, XdrEncode, XdrEncoder};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 const BLOCK: usize = 512;
@@ -502,6 +502,7 @@ fn readahead_case(label: &str, victim: usize, seed: u64) {
 /// The seeded grid: every member killed at every phase on three seeds.
 #[test]
 fn killing_any_single_replica_never_loses_bytes() {
+    let _shared = shared_process();
     let oracle = oracle();
     for victim in 0..WIDTH as usize {
         for seed in [1u64, 2, 3] {
@@ -522,6 +523,7 @@ fn killing_any_single_replica_never_loses_bytes() {
 /// state for every block it missed, and the degraded gauge drops to zero.
 #[test]
 fn rejoining_replica_is_resynced_from_the_journal() {
+    let _shared = shared_process();
     let oracle = oracle();
     let victim = 1usize;
     let states: Vec<ServerState> = (0..WIDTH).map(|_| Arc::default()).collect();
@@ -590,6 +592,31 @@ fn rejoining_replica_is_resynced_from_the_journal() {
     }
 }
 
+/// The thread-count case reads a process-global figure, so it runs
+/// alone: it takes this lock exclusively while every other case in the
+/// binary holds it shared.
+static PROCESS: RwLock<()> = RwLock::new(());
+
+fn shared_process() -> RwLockReadGuard<'static, ()> {
+    PROCESS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The process thread count once it has held still for 20 ms: detached
+/// mock servers of finished cases exit when their wire closes, and a
+/// baseline taken while they are still leaving would be off by them.
+fn quiesced_thread_count() -> usize {
+    let mut last = thread_count();
+    for _ in 0..100 {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = thread_count();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+    last
+}
+
 fn thread_count() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     status
@@ -607,6 +634,7 @@ fn thread_count() -> usize {
 /// client-side reader threads — and read-ahead adds its single worker.
 #[test]
 fn stripe_width_adds_zero_client_reader_threads() {
+    let _alone = PROCESS.write().unwrap_or_else(|e| e.into_inner());
     let pool = ClientIoPool::new(2);
     let mut config = striped_config();
     config.client_pool = Some(pool.clone());
@@ -615,7 +643,7 @@ fn stripe_width_adds_zero_client_reader_threads() {
     let states: Vec<ServerState> = (0..4).map(|_| Arc::default()).collect();
     let kills = vec![Kill::never(); 4];
 
-    let before = thread_count();
+    let before = quiesced_thread_count();
     let mut proxy =
         striped_proxy(&states, &kills, (0..4).map(|_| None).collect(), &config);
     let after_build = thread_count();
@@ -650,6 +678,7 @@ fn stripe_width_adds_zero_client_reader_threads() {
 ///   to 0 with the member in the read/write set.
 #[test]
 fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
+    let _shared = shared_process();
     const BLOCKS: u64 = 8;
     let victim = 1usize;
     let map = StripeMap::new(policy());

@@ -36,6 +36,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace --no-run
 run_watchdog 120 fault_matrix   cargo test -q -p sgfs --test fault_matrix
 run_watchdog 120 pipeline_alloc cargo test -q -p sgfs --test pipeline_alloc
+run_watchdog 300 zero_alloc     cargo test -q -p sgfs-gtls --test zero_alloc
 run_watchdog 120 trace_golden   cargo test -q -p sgfs --test trace_golden
 run_watchdog 120 crash_matrix   cargo test -q -p sgfs --test crash_matrix
 run_watchdog 120 store_parity   cargo test -q -p sgfs --test store_parity
@@ -68,6 +69,11 @@ run_watchdog 120 submit_ring    cargo test -q -p sgfs-net --lib submit::
 run_watchdog 120 client_pool    cargo test -q -p sgfs-oncrpc --lib client_pool::
 run_watchdog 180 prop_pipeline  cargo test -q -p sgfs --test prop_pipeline
 
+# Batched sends in virtual time: a pipelined window of WRITEs costs one
+# round trip and a replicated flush its windows plus two fan-outs
+# (asserted on the emulated clock only, never on wall-clock time).
+run_watchdog 120 wire_batching  cargo test -q -p sgfs --test wire_batching
+
 # AEAD record layer: RFC/NIST known-answer vectors + PCLMUL-vs-scalar
 # GHASH equivalence proptests, then the negotiation/rekey matrix.
 run_watchdog 120 crypto_kat     cargo test -q -p sgfs-crypto --lib -- ghash:: gcm:: chacha:: poly1305:: chachapoly::
@@ -76,6 +82,10 @@ run_watchdog 120 gtls_negotiation cargo test -q -p sgfs-gtls --test negotiation
 
 cargo test -q
 cargo bench --no-run
+
+# The repository benchmark's own tests (a separate cargo package with an
+# empty [workspace], built against the crates by path).
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 # Observability overhead gate: enabled emit may cost at most 50 ns/event
 # (which keeps tracing under 2% of even the in-memory pipeline), and the
