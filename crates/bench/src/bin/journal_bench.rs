@@ -1,6 +1,5 @@
 //! Durability-cost benchmark for the write-ahead journaled disk cache,
-//! written to `BENCH_journal.json` at the workspace root (and mirrored
-//! under `results/`).
+//! written to `BENCH_journal.json` at the workspace root.
 //!
 //! Three measurements:
 //!
@@ -218,15 +217,9 @@ fn main() {
     let gate_ok = append.journal_tax_us <= append.threshold_us && compaction.compactions > 0;
     let report = BenchReport { append, recovery, compaction };
     if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_journal.json", "results/BENCH_journal.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
+        let path = "BENCH_journal.json";
+        if std::fs::write(path, &json).is_ok() {
+            println!("[saved {path}]");
         }
     }
 

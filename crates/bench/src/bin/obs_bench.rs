@@ -1,5 +1,5 @@
 //! Observability overhead gate, written to `BENCH_obs.json` at the
-//! workspace root (and mirrored under `results/`).
+//! workspace root.
 //!
 //! Three measurements:
 //!
@@ -205,15 +205,9 @@ fn main() {
     let ratio_ok = overhead.overhead_fraction <= overhead.threshold;
     let report = BenchReport { emit, overhead, snapshot };
     if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_obs.json", "results/BENCH_obs.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
+        let path = "BENCH_obs.json";
+        if std::fs::write(path, &json).is_ok() {
+            println!("[saved {path}]");
         }
     }
 

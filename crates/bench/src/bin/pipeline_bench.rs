@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the pipelined zero-copy secure data plane.
 //!
 //! Three measurements, written to `BENCH_pipeline.json` at the workspace
-//! root (and mirrored under `results/`):
+//! root:
 //!
 //! 1. **AES bulk throughput** — the dispatched block transform (AES-NI
 //!    where the CPU has it, the T-table formulation otherwise) against
@@ -359,15 +359,9 @@ fn main() {
     let pipe_ok = pipeline.speedup >= pipeline.threshold;
     let report = BenchReport { aes, record, record_suites, aead_gate, pipeline };
     if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_pipeline.json", "results/BENCH_pipeline.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
+        let path = "BENCH_pipeline.json";
+        if std::fs::write(path, &json).is_ok() {
+            println!("[saved {path}]");
         }
     }
 

@@ -1,6 +1,5 @@
 //! Session-scale gate for the sharded server core, written to
-//! `BENCH_scale.json` at the workspace root (and mirrored under
-//! `results/`).
+//! `BENCH_scale.json` at the workspace root.
 //!
 //! Three measurements:
 //!
@@ -399,15 +398,9 @@ fn main() {
         gate_ok,
     };
     if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_scale.json", "results/BENCH_scale.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
+        let path = "BENCH_scale.json";
+        if std::fs::write(path, &json).is_ok() {
+            println!("[saved {path}]");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Multi-server data-plane benchmarks, written to `BENCH_stripe.json` at
-//! the workspace root (and mirrored under `results/`):
+//! the workspace root:
 //!
 //! 1. **Striped sequential read throughput** — the same 512 B-block
 //!    sequential read script fanned split-phase across a width-4 stripe
@@ -23,7 +23,6 @@ use sgfs::config::{CacheMode, SecurityLevel, SessionConfig, StripePolicy};
 use sgfs::proxy::blockstore::BlockKey;
 use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::pipeline::Pipeline;
-use sgfs::stats::ProxyStats;
 use sgfs_bench::RunOpts;
 use sgfs_net::{pipe_pair, pipe_pair_over_link, Link, LinkSpec, PipeEnd, SimClock};
 use sgfs_nfs3::proc::{
@@ -294,29 +293,11 @@ fn striped_read_time(rtt: Duration, width: u32, blocks: usize) -> f64 {
             states[m].lock().unwrap().insert((fh(), b * BLOCK as u64), data.clone());
         }
     }
-    // Width 1 is the single-upstream data plane: one windowed pipeline,
-    // no stripe set (`with_stripe` only builds one for several members).
+    // Width 1 is the single-upstream data plane: one windowed pipeline.
     const WINDOW: u32 = 2;
-    let mut proxy = None;
-    let members: Vec<Pipeline> = if width == 1 {
-        let (end, srv) = pipe_pair_over_link(links[0].clone());
-        byte_server(srv, states[0].clone(), 7);
-        let watch = end.watch();
-        vec![Pipeline::new(
-            Upstream::Plain(Box::new(end)),
-            watch,
-            WINDOW,
-            None,
-            ProxyStats::new(),
-        )]
-    } else {
-        let verfs = vec![7u64; width as usize];
-        let config = stripe_config(width, 1, WINDOW, 0);
-        let p = striped_proxy(&links, &states, &verfs, &config);
-        let set = p.stripe().expect("striped session").clone();
-        proxy = Some(p);
-        (0..width as usize).map(|m| set.member(m)).collect()
-    };
+    let verfs = vec![7u64; width as usize];
+    let proxy = striped_proxy(&links, &states, &verfs, &stripe_config(width, 1, WINDOW, 0));
+    let members: Vec<Pipeline> = (0..width as usize).map(|m| proxy.stripe().member(m)).collect();
 
     // `WINDOW` caller threads per member keep each member's window full,
     // exactly as the read-ahead fan-out does.
@@ -455,15 +436,9 @@ fn main() {
         && replicated_flush.degraded == 0;
     let report = BenchReport { stripe_read, replicated_flush };
     if let Ok(json) = serde_json::to_string_pretty(&report) {
-        for path in ["BENCH_stripe.json", "results/BENCH_stripe.json"] {
-            if let Some(dir) = std::path::Path::new(path).parent() {
-                if !dir.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-            }
-            if std::fs::write(path, &json).is_ok() {
-                println!("[saved {path}]");
-            }
+        let path = "BENCH_stripe.json";
+        if std::fs::write(path, &json).is_ok() {
+            println!("[saved {path}]");
         }
     }
 

@@ -246,7 +246,7 @@ pub struct SessionConfig {
     /// to; `None` gives the pipeline a private single-worker pool.
     pub client_pool: Option<std::sync::Arc<sgfs_oncrpc::ClientIoPool>>,
     /// Client side: multi-server placement (stripe width, replica count,
-    /// stripe unit). `None` = the classic single-upstream session.
+    /// stripe unit). `None` = a single upstream, the width-1 set.
     pub stripe: Option<StripePolicy>,
 }
 

@@ -21,9 +21,12 @@
 //!   replies by xid — the write-back flush submits every dirty block
 //!   before waiting, and the **read-ahead** worker shares the same
 //!   channel instead of a second connection (and second handshake),
-//!   reproducing SFS's asynchronous-RPC advantage.
+//!   reproducing SFS's asynchronous-RPC advantage;
+//! * the upstreams form one [`StripeSet`]: a single upstream is a width-1,
+//!   1-replica set, so every call takes the same routing, flush and
+//!   failover path whatever the session's width.
 
-use crate::config::{CacheMode, HopCost, SessionConfig};
+use crate::config::{CacheMode, HopCost, SessionConfig, StripePolicy};
 use crate::proxy::blockstore::{BlockStore, DiskStore, MemStore};
 use crate::proxy::pipeline::Pipeline;
 use crate::proxy::stripe::{StripeMap, StripeSet};
@@ -114,8 +117,6 @@ impl MetaCache {
 
 /// The client-side proxy for one SGFS session.
 pub struct ClientProxy {
-    /// The pipelined upstream channel (shared with the read-ahead worker).
-    pipeline: Pipeline,
     store: Option<Box<dyn BlockStore>>,
     meta_enabled: bool,
     meta: MetaCache,
@@ -129,6 +130,8 @@ pub struct ClientProxy {
     prefetched: PrefetchMap,
     prefetch_inflight: PrefetchInflight,
     prefetch_tx: Option<mpsc::Sender<PrefetchReq>>,
+    /// The read-ahead worker, joined at drop once its queue has closed.
+    prefetch_worker: Option<std::thread::JoinHandle<()>>,
     /// AIMD read-ahead horizon, shrunk under server JUKEBOX pushback.
     prefetch_gov: Arc<PrefetchGovernor>,
     /// Set by a controller to request key renegotiation between requests.
@@ -140,9 +143,9 @@ pub struct ClientProxy {
     forwarded: HashMap<u32, u64>,
     /// Kill-point injector for the crash harness (None in production).
     crash: Option<Arc<CrashInjector>>,
-    /// Multi-server placement: the stripe set spanning every upstream
-    /// member (member 0 is also `pipeline`). `None` = single upstream.
-    stripe: Option<StripeSet>,
+    /// Every upstream member and its placement map; a single upstream is
+    /// a width-1 set.
+    stripe: StripeSet,
     /// Per-member blocks a down member missed while out of the write
     /// set; [`resync_member`](Self::resync_member) replays them from the
     /// store before the member rejoins.
@@ -153,7 +156,7 @@ pub struct ClientProxy {
     redial: Vec<Option<SharedReconnector>>,
     /// The client I/O pool member pipelines multiplex onto (needed to
     /// rebuild a member channel at re-sync).
-    pool: Option<Arc<sgfs_oncrpc::ClientIoPool>>,
+    pool: Arc<sgfs_oncrpc::ClientIoPool>,
     /// Pipeline parameters retained for member-channel rebuilds.
     window: u32,
     rekey_every: Option<u64>,
@@ -278,11 +281,11 @@ impl ClientProxy {
     /// index, dirty blocks replicate to every mapped member, and each
     /// member fails over independently through its own reconnector.
     ///
-    /// With a single upstream (and no stripe policy) this degenerates to
-    /// the classic session. Every member's reader is multiplexed onto
-    /// one client I/O pool — `config.client_pool` if set, otherwise one
-    /// private single-worker pool shared by all members — so a wider
-    /// stripe adds **zero** reader threads.
+    /// A single upstream with no stripe policy is the width-1, 1-replica
+    /// set. Every member's reader is multiplexed onto one client I/O pool
+    /// — `config.client_pool` if set, otherwise one private single-worker
+    /// pool shared by all members — so a wider stripe adds **zero**
+    /// reader threads.
     pub fn with_stripe(
         upstreams: Vec<StripeUpstream>,
         config: &SessionConfig,
@@ -313,12 +316,8 @@ impl ClientProxy {
                 (Some(Box::new(store)), true)
             }
         };
-        let striped = upstreams.len() > 1;
-        let pool = match (&config.client_pool, striped) {
-            (Some(pool), _) => Some(pool.clone()),
-            (None, true) => Some(sgfs_oncrpc::ClientIoPool::new(1)),
-            (None, false) => None,
-        };
+        let pool =
+            config.client_pool.clone().unwrap_or_else(|| sgfs_oncrpc::ClientIoPool::new(1));
         let mut pipelines = Vec::with_capacity(upstreams.len());
         let mut redial = Vec::with_capacity(upstreams.len());
         for (mut upstream, watch, reconnector) in upstreams {
@@ -339,51 +338,31 @@ impl ClientProxy {
                 t.busy_counter = Some(stats.busy_counter());
                 t.obs = stats.obs().cloned();
             }
-            let pipeline = match &pool {
-                Some(pool) => Pipeline::with_recovery_on(
-                    pool,
-                    upstream,
-                    watch,
-                    config.window,
-                    config.rekey_every_records,
-                    stats.clone(),
-                    reconnector,
-                    config.retry,
-                )?,
-                None => Pipeline::with_recovery(
-                    upstream,
-                    watch,
-                    config.window,
-                    config.rekey_every_records,
-                    stats.clone(),
-                    reconnector,
-                    config.retry,
-                ),
-            };
-            pipelines.push(pipeline);
+            pipelines.push(Pipeline::with_recovery_on(
+                &pool,
+                upstream,
+                watch,
+                config.window,
+                config.rekey_every_records,
+                stats.clone(),
+                reconnector,
+                config.retry,
+            )?);
         }
-        let stripe = if striped {
-            let policy = config.stripe.ok_or_else(|| {
-                std::io::Error::other("multiple upstreams require a stripe policy")
-            })?;
-            let map = StripeMap::new(policy);
-            if map.width() as usize != pipelines.len() {
-                return Err(std::io::Error::other(format!(
-                    "stripe width {} != upstream count {}",
-                    map.width(),
-                    pipelines.len()
-                )));
-            }
-            Some(StripeSet::new(map, pipelines.clone()))
-        } else {
-            None
-        };
+        let map = StripeMap::new(config.stripe.unwrap_or(StripePolicy::striped(1)));
+        if map.width() as usize != pipelines.len() {
+            return Err(std::io::Error::other(format!(
+                "stripe width {} != upstream count {}",
+                map.width(),
+                pipelines.len()
+            )));
+        }
         let missed = vec![HashSet::new(); pipelines.len()];
         let window = config.window;
         let rekey_every = config.rekey_every_records;
         let retry = config.retry;
         Ok(Self {
-            pipeline: pipelines.swap_remove(0),
+            stripe: StripeSet::new(map, pipelines),
             store,
             meta_enabled,
             meta: MetaCache::new(),
@@ -396,13 +375,13 @@ impl ClientProxy {
             prefetched: Arc::new(Mutex::new(HashMap::new())),
             prefetch_inflight: Arc::new(Mutex::new(HashSet::new())),
             prefetch_tx: None,
+            prefetch_worker: None,
             prefetch_gov: PrefetchGovernor::new(config.readahead),
             rekey_requested: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             clock: None,
             hop: HopCost::free(),
             forwarded: HashMap::new(),
             crash: config.crash.clone(),
-            stripe,
             missed,
             redial,
             pool,
@@ -412,9 +391,9 @@ impl ClientProxy {
         })
     }
 
-    /// The stripe set, when this session spans several upstreams.
-    pub fn stripe(&self) -> Option<&StripeSet> {
-        self.stripe.as_ref()
+    /// The session's upstream members (width 1 for a single upstream).
+    pub fn stripe(&self) -> &StripeSet {
+        &self.stripe
     }
 
     /// Blocks member `m` missed while out of the write set (pending
@@ -455,22 +434,22 @@ impl ClientProxy {
         ClientProxyController { rekey_requested: self.rekey_requested.clone() }
     }
 
-    /// Number of completed handshakes on the secure channel (1 + rekeys).
+    /// Number of completed handshakes on member 0's secure channel
+    /// (1 + rekeys).
     pub fn handshake_count(&self) -> Option<u64> {
-        self.pipeline.handshake_count()
-    }
-
-    /// The pipelined upstream channel (e.g. for split-phase callers).
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+        self.stripe.member(0).handshake_count()
     }
 
     /// Attach a read-ahead worker that fetches through the shared
-    /// pipelined channel — its READs fill the in-flight window alongside
+    /// pipelined channels — its READs fill the in-flight window alongside
     /// demand traffic, with no second connection (or second handshake).
     ///
-    /// The worker runs until the proxy is dropped; fetched blocks land in
-    /// a shared map the main loop consults before going upstream.
+    /// One worker thread (never one per member) drains the queue, submits
+    /// each READ split-phase into a live member holding its block, and
+    /// only then waits — so one round of read-ahead fans out across every
+    /// member in parallel. Fetched blocks land in a shared map the main
+    /// loop consults before going upstream. The worker runs until the
+    /// proxy drops, which closes its queue and joins it.
     pub fn start_readahead(&mut self) {
         if self.readahead == 0 {
             return;
@@ -479,109 +458,65 @@ impl ClientProxy {
         let map = self.prefetched.clone();
         let inflight = self.prefetch_inflight.clone();
         let gov = self.prefetch_gov.clone();
-        if let Some(set) = self.stripe.clone() {
-            // Striped sessions: one worker thread (never one per
-            // upstream) that drains the queue, submits each READ
-            // split-phase into its mapped member's pipeline, and only
-            // then waits — so one round of read-ahead fans out across
-            // every server of the stripe in parallel.
-            let stats = self.stats.clone();
-            std::thread::spawn(move || {
-                let mut xid = 0x7800_0000u32;
-                while let Ok(first) = rx.recv() {
-                    let mut reqs = vec![first];
-                    while reqs.len() < 32 {
-                        match rx.try_recv() {
-                            Ok(r) => reqs.push(r),
-                            Err(_) => break,
-                        }
-                    }
-                    let mut pending = Vec::new();
-                    for req in reqs {
-                        let key = (req.fh.clone(), req.offset);
-                        if map.lock().contains_key(&key) {
-                            inflight.lock().remove(&key);
-                            continue;
-                        }
-                        let live = set.live_members_of_block(set.map().block_of(req.offset));
-                        let Some(&m) = live.first() else {
-                            inflight.lock().remove(&key);
-                            continue;
-                        };
-                        xid = xid.wrapping_add(1);
-                        // Clamp at the stripe-block boundary: past it the
-                        // member serves its holes, not the file.
-                        let bs = set.map().block_size() as u64;
-                        let count =
-                            (req.count as u64).min((req.offset / bs + 1) * bs - req.offset);
-                        let args = ReadArgs {
-                            file: req.fh.clone(),
-                            offset: req.offset,
-                            count: count as u32,
-                        };
-                        let record = encode_call(xid, procnum::READ, &req.cred, &args);
-                        pending.push((key, m, set.member(m).submit(record)));
-                    }
-                    for (key, m, reply) in pending {
-                        match reply.wait() {
-                            Ok(reply) => {
-                                // Cache only confirmed data. A shed
-                                // (JUKEBOX) prefetch is simply dropped —
-                                // speculative work is never retried, it
-                                // shrinks the horizon instead; the demand
-                                // path re-fetches the block if it is
-                                // actually needed.
-                                if let Some(body) = success_body(&reply) {
-                                    if let Ok(res) = ReadRes::from_xdr_bytes(body) {
-                                        match res.status {
-                                            NfsStat3::Ok => {
-                                                gov.on_clean();
-                                                map.lock().insert(key.clone(), res.data);
-                                            }
-                                            NfsStat3::Jukebox => gov.on_jukebox(),
-                                            _ => {}
-                                        }
-                                    }
-                                }
-                            }
-                            Err(_) => fail_member_via(&stats, &set, m),
-                        }
-                        inflight.lock().remove(&key);
+        let stats = self.stats.clone();
+        let set = self.stripe.clone();
+        self.prefetch_worker = Some(std::thread::spawn(move || {
+            let mut xid = 0x7800_0000u32;
+            while let Ok(first) = rx.recv() {
+                let mut reqs = vec![first];
+                while reqs.len() < 32 {
+                    match rx.try_recv() {
+                        Ok(r) => reqs.push(r),
+                        Err(_) => break,
                     }
                 }
-            });
-        } else {
-            let pipeline = self.pipeline.clone();
-            std::thread::spawn(move || {
-                let mut xid = 0x7800_0000u32;
-                for req in rx {
+                let mut pending = Vec::new();
+                for req in reqs {
                     let key = (req.fh.clone(), req.offset);
                     if map.lock().contains_key(&key) {
                         inflight.lock().remove(&key);
                         continue;
                     }
+                    let placement = set.map();
+                    let block = placement.block_of(req.offset);
+                    let Some(m) = placement.holders(block).find(|&m| set.is_up(m)) else {
+                        inflight.lock().remove(&key);
+                        continue;
+                    };
                     xid = xid.wrapping_add(1);
+                    // Clamp at the stripe-block boundary: past it the
+                    // member serves its holes, not the file.
+                    let count = (req.count as u64).min(placement.contiguous_from(req.offset));
                     let args =
-                        ReadArgs { file: req.fh.clone(), offset: req.offset, count: req.count };
-                    let res: Result<ReadRes, ()> =
-                        call_via(&pipeline, xid, procnum::READ, &req.cred, &args);
-                    // As in the striped worker: cache confirmed data only,
-                    // drop shed prefetches and shrink the horizon instead
-                    // of retrying speculative work.
-                    if let Ok(res) = res {
-                        match res.status {
-                            NfsStat3::Ok => {
-                                gov.on_clean();
-                                map.lock().insert(key.clone(), res.data);
+                        ReadArgs { file: req.fh.clone(), offset: req.offset, count: count as u32 };
+                    let record = encode_call(xid, procnum::READ, &req.cred, &args);
+                    pending.push((key, m, set.member(m).submit(record)));
+                }
+                for (key, m, reply) in pending {
+                    match reply.wait() {
+                        Ok(reply) => {
+                            // Cache only confirmed data. A shed (JUKEBOX)
+                            // prefetch is simply dropped — speculative
+                            // work is never retried, it shrinks the
+                            // horizon instead; the demand path re-fetches
+                            // the block if it is actually needed.
+                            let res = success_body(&reply)
+                                .and_then(|b| ReadRes::from_xdr_bytes(b).ok());
+                            match res.map(|r| (r.status, r.data)) {
+                                Some((NfsStat3::Ok, data)) => {
+                                    gov.on_clean();
+                                    map.lock().insert(key.clone(), data);
+                                }
+                                Some((NfsStat3::Jukebox, _)) => gov.on_jukebox(),
+                                _ => {}
                             }
-                            NfsStat3::Jukebox => gov.on_jukebox(),
-                            _ => {}
                         }
+                        Err(_) => fail_member_via(&stats, &set, m),
                     }
                     inflight.lock().remove(&key);
                 }
-            });
-        }
+            }
+        }));
         self.prefetch_tx = Some(tx);
     }
 
@@ -595,7 +530,8 @@ impl ClientProxy {
                 Err(e) => return (self, Err(e)),
             };
             if self.rekey_requested.swap(false, std::sync::atomic::Ordering::AcqRel) {
-                if let Err(e) = self.pipeline.rekey() {
+                let mut live = (0..self.stripe.width()).filter(|&m| self.stripe.is_up(m));
+                if let Err(e) = live.try_for_each(|m| self.stripe.member(m).rekey()) {
                     return (self, Err(e));
                 }
             }
@@ -705,12 +641,7 @@ impl ClientProxy {
                     if let Ok(res) = LookupRes::from_xdr_bytes(body) {
                         let fh = res.object.clone();
                         if let Some(fh) = fh {
-                            let dirty = self
-                                .store
-                                .as_ref()
-                                .map(|s| !s.dirty_blocks_of(&fh).is_empty())
-                                .unwrap_or(false);
-                            if dirty {
+                            if self.is_dirty(&fh) {
                                 if let Some(ours) = self.meta.attrs.get(&fh).cloned() {
                                     let patched =
                                         LookupRes { obj_attr: Some(ours.clone()), ..res };
@@ -751,18 +682,38 @@ impl ClientProxy {
                 self.forward(record, header.proc, &args)
             }
             procnum::SETATTR => {
-                if let Ok(a) = SetAttrArgs::from_xdr_bytes(&args) {
-                    // Truncation invalidates cached blocks; flush dirty
-                    // data first so nothing is lost.
-                    if a.new_attributes.size.is_some() {
-                        self.flush_file(&a.object)?;
-                        if let Some(store) = &mut self.store {
-                            store.drop_file(&a.object);
-                        }
+                let Ok(a) = SetAttrArgs::from_xdr_bytes(&args) else {
+                    return self.forward(record, header.proc, &args);
+                };
+                // Truncation invalidates cached blocks; flush dirty
+                // data first so nothing is lost.
+                if a.new_attributes.size.is_some() {
+                    self.flush_file(&a.object)?;
+                    if let Some(store) = &mut self.store {
+                        store.drop_file(&a.object);
                     }
-                    self.meta.invalidate_fh(&a.object);
                 }
-                self.forward(record, header.proc, &args)
+                // Until write-back only the proxy knows a dirty file's
+                // size: a chmod must not hand it back to the server's
+                // stale attrs, or the next WRITE refetches those and the
+                // flush (and a striped size mirror) truncates acked data.
+                let held =
+                    self.is_dirty(&a.object).then(|| self.meta.attrs.get(&a.object).cloned());
+                self.meta.invalidate_fh(&a.object);
+                let reply = self.forward(record, header.proc, &args)?;
+                let Some(mut ours) = held.flatten() else { return Ok(reply) };
+                let res = success_body(&reply).and_then(|b| WccRes::from_xdr_bytes(b).ok());
+                if let Some(after) = res.as_ref().and_then(|r| r.wcc.after.clone()) {
+                    ours = Fattr3 { size: ours.size, ..after };
+                }
+                self.meta.attrs.insert(a.object, ours.clone());
+                Ok(match res {
+                    Some(res) => encode_reply(
+                        header.xid,
+                        &WccRes { wcc: WccData { after: Some(ours), ..res.wcc }, ..res },
+                    ),
+                    None => reply,
+                })
             }
             procnum::CREATE | procnum::MKDIR | procnum::SYMLINK => {
                 let dir = dir_of_create(header.proc, &args);
@@ -926,12 +877,7 @@ impl ClientProxy {
         self.meta.misses += 1;
         trace_cache(&self.stats, false, xid, procnum::READ);
         // 3. Upstream, after making dirty data visible.
-        let has_dirty = self
-            .store
-            .as_ref()
-            .map(|s| !s.dirty_blocks_of(&a.file).is_empty())
-            .unwrap_or(false);
-        if has_dirty {
+        if self.is_dirty(&a.file) {
             self.flush_file(&a.file)?;
         }
         let reply = self.forward(record, procnum::READ, args)?;
@@ -1011,30 +957,36 @@ impl ClientProxy {
             }
         }
         let t_blk = std::time::Instant::now();
-        // In a striped session the cache key *is* the flush routing key:
-        // one wsize-sized WRITE can span several stripe blocks, each
-        // mapped to a different replica set, so it must be absorbed as
-        // stripe-block-aligned extents or the flush would send the whole
-        // extent to the first block's members only.
-        let stripe_bs = self.stripe.as_ref().map(|s| s.map().block_size() as u64);
+        // The cache key *is* the flush routing key: one wsize-sized WRITE
+        // can span several stripe blocks, each mapped to a different
+        // replica set, so it is absorbed as stripe-block-aligned extents
+        // (one extent in a mirrored set) or the flush would send the
+        // whole extent to the first block's members only.
+        let placement = *self.stripe.map();
         let store = self.store.as_mut().expect("checked");
-        let put = match stripe_bs {
-            Some(bs) => {
-                let mut res = Ok(());
-                let mut off = a.offset;
-                let mut data = &a.data[..];
-                while !data.is_empty() {
-                    let take = ((bs - off % bs) as usize).min(data.len());
-                    res = store.put((a.file.clone(), off), &data[..take], true);
-                    if res.is_err() {
-                        break;
-                    }
-                    off += take as u64;
-                    data = &data[take..];
-                }
-                res
+        let (mut off, mut rest) = (a.offset, &a.data[..]);
+        let put = loop {
+            let take = placement.contiguous_from(off).min(rest.len() as u64) as usize;
+            let key = (a.file.clone(), off);
+            // A shorter overwrite keeps the tail of the extent cached at
+            // the same offset: the key holds one extent, and replacing
+            // it would drop acknowledged bytes.
+            let merged = store
+                .meta(&key)
+                .filter(|m| m.len as usize > take)
+                .and_then(|_| store.get(&key))
+                .map(|mut held| {
+                    held[..take].copy_from_slice(&rest[..take]);
+                    held
+                });
+            if let Err(e) = store.put(key, merged.as_deref().unwrap_or(&rest[..take]), true) {
+                break Err(e);
             }
-            None => store.put((a.file.clone(), a.offset), &a.data, true),
+            off += take as u64;
+            rest = &rest[take..];
+            if rest.is_empty() {
+                break Ok(());
+            }
         };
         if let Err(e) = put {
             if sgfs_net::crash::is_crash(&e) {
@@ -1095,14 +1047,23 @@ impl ClientProxy {
         ))
     }
 
-    /// One WRITE-batch + COMMIT round. `VerifierChanged` means the blocks
-    /// were re-marked dirty and the caller must flush again; on `Err` the
-    /// blocks are also re-marked dirty so a later retry re-sends them —
-    /// no block is left clean without a COMMIT covering it.
+    /// One replicated WRITE-batch + per-member COMMIT round.
+    ///
+    /// Every dirty block's WRITE is encoded once per live member holding
+    /// it, and every member's batch enters its pipeline window before any
+    /// reply is awaited, so the replicas of a flush proceed in parallel.
+    /// A block goes clean only when at least one replica confirmed its
+    /// WRITE *and* that member's COMMIT verifier matched — members that
+    /// die mid-flush are failed over, their blocks are recorded in the
+    /// missed set for re-sync, and the flush completes at reduced
+    /// redundancy as long as one replica per block survives. A failure
+    /// with no survivor (always so at width 1) fails the flush.
+    ///
+    /// `VerifierChanged` and `Retry` mean the blocks were re-marked dirty
+    /// and the caller must flush again; on `Err` the blocks are also
+    /// re-marked dirty so a later retry re-sends them — no block is left
+    /// clean without a COMMIT covering it.
     fn flush_file_once(&mut self, fh: &Fh3) -> std::io::Result<FlushOutcome> {
-        if let Some(set) = self.stripe.clone() {
-            return self.flush_file_once_striped(&set, fh);
-        }
         let dirty = match &self.store {
             Some(s) => s.dirty_blocks_of(fh),
             None => return Ok(FlushOutcome::Committed),
@@ -1114,121 +1075,7 @@ impl ClientProxy {
         if let Some(obs) = self.stats.obs() {
             obs.emit(sgfs_obs::Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
         }
-        let mut records = Vec::with_capacity(dirty.len());
-        let mut offsets = Vec::with_capacity(dirty.len());
-        for offset in dirty {
-            let data = self
-                .store
-                .as_mut()
-                .and_then(|s| s.get(&(fh.clone(), offset)))
-                .unwrap_or_default();
-            let args = WriteArgs {
-                file: fh.clone(),
-                offset,
-                stable: StableHow::Unstable,
-                data,
-            };
-            self.next_xid = self.next_xid.wrapping_add(1);
-            records.push(encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args));
-            offsets.push(offset);
-        }
-        // One atomic batch: up to a window of WRITEs goes out before the
-        // pipeline waits on any reply. The records are kept: a WRITE the
-        // server sheds at admission (JUKEBOX — never executed) is re-sent
-        // verbatim under backoff rather than failing the whole flush.
-        let pending = self.pipeline.submit_batch(records.clone());
-        let mut server_verf: Option<u64> = None;
-        let mut verifier_changed = false;
-        for ((offset, record), reply) in offsets.iter().zip(records.iter()).zip(pending) {
-            let settled = reply.wait().and_then(|r| {
-                settle_jukebox(&self.pipeline, &self.stats, &self.retry, record, r)
-            });
-            let verf = match settled.and_then(|r| parse_write_verf(&r)) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.redirty(fh, &offsets);
-                    return Err(e);
-                }
-            };
-            if *server_verf.get_or_insert(verf) != verf {
-                verifier_changed = true;
-            }
-            let cleaned = match &mut self.store {
-                Some(store) => store.set_clean(&(fh.clone(), *offset)),
-                None => Ok(()),
-            };
-            if let Err(e) = cleaned {
-                // The journal could not record the transition; the block
-                // stays dirty (the store updates its index only after the
-                // append succeeds) and a later flush re-sends it.
-                self.redirty(fh, &offsets);
-                return Err(e);
-            }
-        }
-        // Kill point: blocks are clean locally, COMMIT never goes out.
-        // Recovery must re-dirty them (clean-before-COMMIT is not stable).
-        if let Err(e) = self.hit_crash(CrashPoint::FlushBeforeCommit) {
-            self.redirty(fh, &offsets);
-            return Err(e);
-        }
-        let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
-        let res: CommitRes = match self.call_upstream(procnum::COMMIT, &commit) {
-            Ok(r) => r,
-            Err(e) => {
-                self.redirty(fh, &offsets);
-                return Err(std::io::Error::other(e));
-            }
-        };
-        if res.status != NfsStat3::Ok {
-            self.redirty(fh, &offsets);
-            return Err(std::io::Error::other(format!("commit failed: {:?}", res.status)));
-        }
-        // The crash-recovery check proper: every WRITE and the COMMIT
-        // must carry one verifier. Any change means the server lost its
-        // uncommitted (unstable) data — re-send everything.
-        if verifier_changed || server_verf.is_some_and(|v| v != res.verf) {
-            self.redirty(fh, &offsets);
-            return Ok(FlushOutcome::VerifierChanged);
-        }
-        // Kill point: the server has committed but the journal has not
-        // heard — recovery re-sends the blocks, which is idempotent.
-        self.hit_crash(CrashPoint::FlushAfterCommit)?;
-        if let Some(store) = &mut self.store {
-            store.commit_file(fh)?;
-        }
-        if let Some(a) = res.wcc.after {
-            self.meta.attrs.insert(fh.clone(), a);
-        }
-        Ok(FlushOutcome::Committed)
-    }
-
-    /// One replicated WRITE-batch + per-member COMMIT round across the
-    /// stripe set.
-    ///
-    /// Every dirty block's WRITE is encoded once per live mapped member
-    /// and every member's batch enters its pipeline window before any
-    /// reply is awaited, so the replicas of a flush proceed in parallel.
-    /// A block goes clean only when at least one replica confirmed its
-    /// WRITE *and* that member's COMMIT verifier matched — members that
-    /// die mid-flush are failed over, their blocks are recorded in the
-    /// missed set for re-sync, and the flush completes at reduced
-    /// redundancy as long as one replica per block survives.
-    fn flush_file_once_striped(
-        &mut self,
-        set: &StripeSet,
-        fh: &Fh3,
-    ) -> std::io::Result<FlushOutcome> {
-        let dirty = match &self.store {
-            Some(s) => s.dirty_blocks_of(fh),
-            None => return Ok(FlushOutcome::Committed),
-        };
-        if dirty.is_empty() {
-            return Ok(FlushOutcome::Committed);
-        }
-        if let Some(obs) = self.stats.obs() {
-            obs.emit(sgfs_obs::Hop::FlushRound, 0, procnum::COMMIT, dirty.len() as u64);
-        }
-        let width = set.width();
+        let width = self.stripe.width();
         // Per-member WRITE batches, one pass over the dirty set.
         let mut offsets_of: Vec<Vec<u64>> = vec![Vec::new(); width];
         let mut records_of: Vec<Vec<Vec<u8>>> = vec![Vec::new(); width];
@@ -1238,22 +1085,17 @@ impl ClientProxy {
                 .as_mut()
                 .and_then(|s| s.get(&(fh.clone(), offset)))
                 .unwrap_or_default();
-            let members = set.map().members_of_offset(offset);
-            if !members.iter().any(|&m| set.is_up(m)) {
+            let block = self.stripe.map().block_of(offset);
+            if !self.stripe.map().holders(block).any(|m| self.stripe.is_up(m)) {
                 self.redirty(fh, &dirty);
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::NotConnected,
                     "every replica of a dirty block is down",
                 ));
             }
-            for m in members {
-                if set.is_up(m) {
-                    let args = WriteArgs {
-                        file: fh.clone(),
-                        offset,
-                        stable: StableHow::Unstable,
-                        data: data.clone(),
-                    };
+            let args = WriteArgs { file: fh.clone(), offset, stable: StableHow::Unstable, data };
+            for m in self.stripe.map().holders(block) {
+                if self.stripe.is_up(m) {
                     self.next_xid = self.next_xid.wrapping_add(1);
                     offsets_of[m].push(offset);
                     records_of[m].push(encode_call(
@@ -1269,21 +1111,22 @@ impl ClientProxy {
         }
         // Fan out: every member's batch is submitted before any reply is
         // awaited, the copies made first so the batches reach their
-        // pipelines back to back. The records are kept so a shed WRITE
-        // can be re-sent verbatim to the member that shed it.
+        // pipelines back to back. The records are kept so a WRITE the
+        // server sheds at admission (JUKEBOX — never executed) is re-sent
+        // verbatim to the member that shed it.
         let batches: Vec<(usize, Vec<Vec<u8>>)> = (0..width)
             .filter(|&m| !records_of[m].is_empty())
             .map(|m| (m, records_of[m].clone()))
             .collect();
         let pending: Vec<_> = batches
             .into_iter()
-            .map(|(m, records)| (m, set.member(m).submit_batch(records)))
+            .map(|(m, records)| (m, self.stripe.member(m).submit_batch(records)))
             .collect();
         let mut confirmed: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut member_verf: Vec<Option<u64>> = vec![None; width];
         let mut verifier_changed = false;
         for (m, replies) in pending {
-            let member = set.member(m);
+            let member = self.stripe.member(m);
             let mut dead = false;
             let calls = offsets_of[m].iter().zip(&records_of[m]).zip(replies);
             for ((offset, record), reply) in calls {
@@ -1298,12 +1141,15 @@ impl ClientProxy {
                         }
                         confirmed.entry(*offset).or_default().push(m);
                     }
-                    Err(_) => {
+                    Err(e) => {
                         // Member died mid-flush: degrade and keep going
-                        // on the survivors.
+                        // on the survivors, if there are any.
+                        if !self.fail_member(m) {
+                            self.redirty(fh, &dirty);
+                            return Err(e);
+                        }
                         dead = true;
                         member_verf[m] = None;
-                        self.fail_member(set, m);
                         self.missed[m].insert((fh.clone(), *offset));
                     }
                 }
@@ -1311,8 +1157,8 @@ impl ClientProxy {
         }
         // Blocks confirmed by at least one replica go clean; the rest
         // stay dirty for the next round.
-        for (&offset, members) in &confirmed {
-            if members.is_empty() {
+        for &offset in &dirty {
+            if !confirmed.contains_key(&offset) {
                 continue;
             }
             let cleaned = match &mut self.store {
@@ -1320,68 +1166,82 @@ impl ClientProxy {
                 None => Ok(()),
             };
             if let Err(e) = cleaned {
+                // The journal could not record the transition; the block
+                // stays dirty (the store updates its index only after the
+                // append succeeds) and a later flush re-sends it.
                 self.redirty(fh, &dirty);
                 return Err(e);
             }
         }
+        // Kill point: blocks are clean locally, COMMIT never goes out.
+        // Recovery must re-dirty them (clean-before-COMMIT is not stable).
         if let Err(e) = self.hit_crash(CrashPoint::FlushBeforeCommit) {
             self.redirty(fh, &dirty);
             return Err(e);
         }
         // One COMMIT per member that confirmed writes, all submitted
         // before any is awaited; each replica's verifier contract is
-        // enforced independently. A member holds only its mapped blocks,
-        // so its own file size undershoots the file whenever it lacks the
-        // final block — once its COMMIT confirms, mirror the client-
-        // visible size (again one fan-out) so *any* member can serve
-        // GETATTR/LOOKUP for the file. A member failing either call has
-        // WRITEs that are not stable there, or a stale size.
+        // enforced independently. Outside a mirrored set a member holds
+        // only its mapped blocks, so its own file size undershoots the
+        // file whenever it lacks the final block — once its COMMIT
+        // confirms, mirror the client-visible size (again one fan-out) so
+        // *any* member can serve GETATTR/LOOKUP for the file. A member
+        // failing either call has WRITEs that are not stable there, or a
+        // stale size.
         let writers: Vec<usize> = (0..width).filter(|&m| member_verf[m].is_some()).collect();
         let commit = CommitArgs { file: fh.clone(), offset: 0, count: 0 };
-        let commits: Vec<Option<CommitRes>> =
-            self.fan_out(set, &writers, procnum::COMMIT, &commit);
+        let commits = self.fan_out::<CommitRes>(&writers, procnum::COMMIT, &commit);
         let mut commit_after: Option<Fattr3> = None;
-        let mut committed: Vec<usize> = Vec::new();
+        let mut outcome: Vec<std::io::Result<()>> = Vec::with_capacity(writers.len());
         for (&m, res) in writers.iter().zip(commits) {
-            let Some(res) = res.filter(|r| r.status == NfsStat3::Ok) else { continue };
-            if Some(res.verf) != member_verf[m] {
-                verifier_changed = true;
-            }
-            if commit_after.is_none() {
-                commit_after = res.wcc.after;
-            }
-            committed.push(m);
+            outcome.push(res.and_then(|res| {
+                nfs_ok(res.status, "commit")?;
+                verifier_changed |= Some(res.verf) != member_verf[m];
+                commit_after = commit_after.take().or(res.wcc.after);
+                Ok(())
+            }));
         }
-        if let Some(size) = self.meta.attrs.get(fh).map(|a| a.size) {
+        let size = self.meta.attrs.get(fh).map(|a| a.size);
+        if let Some(size) = size.filter(|_| !self.stripe.map().mirrored()) {
             let sa = SetAttrArgs {
                 object: fh.clone(),
                 new_attributes: Sattr3 { size: Some(size), ..Default::default() },
             };
-            let mirrors: Vec<Option<WccRes>> =
-                self.fan_out(set, &committed, procnum::SETATTR, &sa);
-            let mut mirrors = mirrors.into_iter();
-            committed.retain(|_| {
-                mirrors.next().flatten().is_some_and(|r| r.status == NfsStat3::Ok)
-            });
+            let ok: Vec<usize> =
+                writers.iter().zip(&outcome).filter(|(_, o)| o.is_ok()).map(|(&m, _)| m).collect();
+            let mut mirrors = self.fan_out::<WccRes>(&ok, procnum::SETATTR, &sa).into_iter();
+            for o in outcome.iter_mut().filter(|o| o.is_ok()) {
+                let mirrored = mirrors.next().expect("one reply per member");
+                *o = mirrored.and_then(|r| nfs_ok(r.status, "size mirror"));
+            }
         }
-        for &m in &writers {
-            if committed.contains(&m) {
-                self.stats.add_replica_write();
-                if let Some(obs) = self.stats.obs() {
-                    obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
+        for (&m, o) in writers.iter().zip(outcome) {
+            match o {
+                Ok(()) => {
+                    self.stats.add_replica_write();
+                    if let Some(obs) = self.stats.obs() {
+                        obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, procnum::COMMIT, m as u64);
+                    }
                 }
-            } else {
-                // Fail the member over and strike it from every block it
-                // confirmed.
-                self.fail_member(set, m);
-                for offset in &offsets_of[m] {
-                    self.missed[m].insert((fh.clone(), *offset));
-                    if let Some(members) = confirmed.get_mut(offset) {
-                        members.retain(|&c| c != m);
+                Err(e) => {
+                    // Fail the member over and strike it from every block
+                    // it confirmed.
+                    if !self.fail_member(m) {
+                        self.redirty(fh, &dirty);
+                        return Err(e);
+                    }
+                    for offset in &offsets_of[m] {
+                        self.missed[m].insert((fh.clone(), *offset));
+                        if let Some(members) = confirmed.get_mut(offset) {
+                            members.retain(|&c| c != m);
+                        }
                     }
                 }
             }
         }
+        // The crash-recovery check proper: every WRITE and the COMMIT must
+        // carry one verifier per member. Any change means that server
+        // lost its uncommitted (unstable) data — re-send everything.
         if verifier_changed {
             self.redirty(fh, &dirty);
             return Ok(FlushOutcome::VerifierChanged);
@@ -1397,34 +1257,31 @@ impl ClientProxy {
             self.redirty(fh, &uncovered);
             return Ok(FlushOutcome::Retry);
         }
+        // Kill point: the server has committed but the journal has not
+        // heard — recovery re-sends the blocks, which is idempotent.
         self.hit_crash(CrashPoint::FlushAfterCommit)?;
         if let Some(store) = &mut self.store {
             store.commit_file(fh)?;
         }
-        if let Some(mut a) = commit_after {
+        if let Some(a) = commit_after {
             // The wcc attr came from one member's COMMIT, which ran
-            // before the size mirror: never let a partial replica size
-            // shrink the fabricated attr the client has already seen.
-            if let Some(prev) = self.meta.attrs.get(fh) {
-                a.size = a.size.max(prev.size);
-            }
-            self.meta.attrs.insert(fh.clone(), a);
+            // before any size mirror: `note_attr` never lets a partial
+            // replica's size shrink the attr the client has already seen.
+            self.note_attr(fh, a);
         }
         Ok(FlushOutcome::Committed)
     }
 
     /// Send one call to each of `members`, every one submitted before
-    /// any reply is awaited, and decode each member's result in order:
-    /// `None` when the member died or answered something undecodable. A
-    /// shed reply (JUKEBOX: not executed) is re-sent to the member that
+    /// any reply is awaited, and decode each member's result in order.
+    /// A shed reply (JUKEBOX: not executed) is re-sent to the member that
     /// shed it, so pushback is never taken for member death.
     fn fan_out<T: XdrDecode>(
         &mut self,
-        set: &StripeSet,
         members: &[usize],
         proc: u32,
         args: &dyn XdrEncode,
-    ) -> Vec<Option<T>> {
+    ) -> Vec<std::io::Result<T>> {
         let records: Vec<Vec<u8>> = members
             .iter()
             .map(|_| {
@@ -1432,20 +1289,21 @@ impl ClientProxy {
                 encode_call(self.next_xid, proc, &self.client_cred, args)
             })
             .collect();
-        let pending: Vec<_> =
-            members.iter().zip(&records).map(|(&m, r)| set.member(m).submit(r.clone())).collect();
+        let pending: Vec<_> = members
+            .iter()
+            .zip(&records)
+            .map(|(&m, r)| self.stripe.member(m).submit(r.clone()))
+            .collect();
         members
             .iter()
             .zip(records)
             .zip(pending)
             .map(|((&m, record), pending)| {
-                let reply = pending
-                    .wait()
-                    .and_then(|r| {
-                        settle_jukebox(&set.member(m), &self.stats, &self.retry, &record, r)
-                    })
-                    .ok()?;
-                T::from_xdr_bytes(success_body(&reply)?).ok()
+                let member = self.stripe.member(m);
+                let first = pending.wait()?;
+                let reply = settle_jukebox(&member, &self.stats, &self.retry, &record, first)?;
+                let failed = || std::io::Error::other(format!("upstream call proc {proc} failed"));
+                success_body(&reply).and_then(|b| T::from_xdr_bytes(b).ok()).ok_or_else(failed)
             })
             .collect()
     }
@@ -1511,67 +1369,53 @@ impl ClientProxy {
     /// Forward a raw record upstream and return the raw reply, snooping
     /// cacheable results.
     fn forward(&mut self, record: &[u8], proc: u32, args: &[u8]) -> std::io::Result<Vec<u8>> {
-        if let Some(set) = self.stripe.clone() {
-            return self.forward_striped(&set, record, proc, args);
-        }
         *self.forwarded.entry(proc).or_insert(0) += 1;
-        self.stats.add_up(record.len());
-        // The upstream round trip is mostly *waiting*; exclude its wall
-        // time from the busy accounting (the GTLS layer re-adds the real
-        // crypto time through the shared busy counter).
-        let t_io = std::time::Instant::now();
-        let reply = call_jukebox_patient(&self.pipeline, &self.stats, &self.retry, record)?;
-        self.stats.exclude(t_io.elapsed());
-        self.stats.add_down(reply.len());
+        let reply = self.route(record, proc, args)?;
         if self.meta_enabled {
             self.snoop_meta(proc, args, &reply);
         }
         Ok(reply)
     }
 
-    /// Route one forwarded call across the stripe set. READs go to a
-    /// mapped member of their block (failing over past down members);
-    /// namespace mutations and COMMIT are mirrored to every live member
-    /// so replica state stays structurally identical (file handles are
-    /// derived from the op sequence, which every member sees in the same
-    /// order); everything else rides the first live member.
-    fn forward_striped(
-        &mut self,
-        set: &StripeSet,
-        record: &[u8],
-        proc: u32,
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
-        *self.forwarded.entry(proc).or_insert(0) += 1;
+    /// Route one forwarded call across the stripe set. Namespace
+    /// mutations, COMMIT and write-through WRITEs are mirrored to every
+    /// member holding the data, so replica state stays structurally
+    /// identical (file handles are derived from the op sequence, which
+    /// every member sees in the same order); everything else rides the
+    /// first live member. Outside a mirrored set a READ goes to a live
+    /// member of its block and a GETATTR asks every member.
+    fn route(&self, record: &[u8], proc: u32, args: &[u8]) -> std::io::Result<Vec<u8>> {
+        let placement = *self.stripe.map();
+        let all = 0..self.stripe.width();
+        let first_live = || self.call_first_live(all.clone(), record).map(|(_, reply)| reply);
         match proc {
-            procnum::READ => {
-                if let Ok(a) = ReadArgs::from_xdr_bytes(args) {
-                    return self.striped_read(set, record, a.offset, args);
+            procnum::READ if !placement.mirrored() => {
+                let Ok(a) = ReadArgs::from_xdr_bytes(args) else { return first_live() };
+                let block = placement.block_of(a.offset);
+                let (m, reply) = self.call_first_live(placement.holders(block), record)?;
+                if let Some(obs) = self.stats.obs() {
+                    obs.emit(sgfs_obs::Hop::StripeRead, sgfs_obs::peek_xid(record), proc, m as u64);
                 }
-                self.forward_first_live(set, record, proc, args)
+                Ok(clamp_striped_read(&placement, a.offset, reply))
             }
-            procnum::WRITE => {
+            procnum::WRITE if !placement.mirrored() => {
                 // Write-through fallback (no store, or the spool
                 // degraded): one WRITE can span several stripe blocks, so
                 // it must reach every member mapped to *any* covered
                 // block (each receives the whole extent; reads still
                 // route per block).
-                if let Ok(a) = WriteArgs::from_xdr_bytes(args) {
-                    let map = set.map();
-                    let end = a.offset + (a.data.len() as u64).max(1) - 1;
-                    let mut members: Vec<usize> = Vec::new();
-                    for b in map.block_of(a.offset)..=map.block_of(end) {
-                        for m in map.members_of_block(b) {
-                            if !members.contains(&m) {
-                                members.push(m);
-                            }
-                        }
-                    }
-                    return self.mirror_to(set, &members, record, proc, args);
-                }
-                self.forward_first_live(set, record, proc, args)
+                let Ok(a) = WriteArgs::from_xdr_bytes(args) else { return first_live() };
+                let end = a.offset + (a.data.len() as u64).max(1) - 1;
+                let blocks = placement.block_of(a.offset)..=placement.block_of(end);
+                let mut members: Vec<usize> =
+                    blocks.flat_map(|b| placement.holders(b)).collect();
+                members.sort_unstable();
+                members.dedup();
+                self.mirror_to(members, record)
             }
-            procnum::SETATTR
+            procnum::GETATTR if !placement.mirrored() => self.widest_getattr(record),
+            procnum::WRITE
+            | procnum::SETATTR
             | procnum::CREATE
             | procnum::MKDIR
             | procnum::SYMLINK
@@ -1580,188 +1424,104 @@ impl ClientProxy {
             | procnum::RMDIR
             | procnum::RENAME
             | procnum::LINK
-            | procnum::COMMIT => {
-                let all: Vec<usize> = (0..set.width()).collect();
-                self.mirror_to(set, &all, record, proc, args)
-            }
-            procnum::GETATTR => {
-                if Fh3::from_xdr_bytes(args).is_ok() {
-                    return self.striped_getattr(set, record, args);
-                }
-                self.forward_first_live(set, record, proc, args)
-            }
-            _ => self.forward_first_live(set, record, proc, args),
+            | procnum::COMMIT => self.mirror_to(all, record),
+            _ => first_live(),
         }
     }
 
-    /// GETATTR across the stripe set: any single member undershoots the
-    /// file size whenever it lacks the final block, so ask every live
+    /// GETATTR across a non-mirrored set: any single member undershoots
+    /// the file size whenever it lacks the final block, so ask every live
     /// member and serve the largest size observed.
-    fn striped_getattr(
-        &mut self,
-        set: &StripeSet,
-        record: &[u8],
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
+    fn widest_getattr(&self, record: &[u8]) -> std::io::Result<Vec<u8>> {
         let mut best: Option<(u64, Vec<u8>)> = None;
-        for m in 0..set.width() {
-            if !set.is_up(m) {
-                continue;
-            }
-            let Ok(reply) = self.call_member(set, m, record) else { continue };
-            let size = success_body(&reply)
-                .and_then(|b| GetAttrRes::from_xdr_bytes(b).ok())
-                .and_then(|r| r.attr.map(|a| a.size));
-            match (&best, size) {
-                (None, _) => best = Some((size.unwrap_or(0), reply)),
-                (Some((s, _)), Some(ns)) if ns > *s => best = Some((ns, reply)),
-                _ => {}
+        let mut last_err = None;
+        for m in (0..self.stripe.width()).filter(|&m| self.stripe.is_up(m)) {
+            match self.call_member(m, record) {
+                Ok(reply) => {
+                    let size = success_body(&reply)
+                        .and_then(|b| GetAttrRes::from_xdr_bytes(b).ok())
+                        .and_then(|r| r.attr.map(|a| a.size))
+                        .unwrap_or(0);
+                    if best.as_ref().is_none_or(|(widest, _)| size > *widest) {
+                        best = Some((size, reply));
+                    }
+                }
+                Err(e) => last_err = Some(e),
             }
         }
-        let Some((_, reply)) = best else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "every stripe-set member is down",
-            ));
-        };
-        if self.meta_enabled {
-            self.snoop_meta(procnum::GETATTR, args, &reply);
-        }
-        Ok(reply)
+        best.map(|(_, reply)| reply).ok_or_else(|| last_err.unwrap_or_else(all_down))
     }
 
-    /// Serve a READ from the first live member of its block's replica
-    /// set, failing over past members that die on the way.
-    fn striped_read(
-        &mut self,
-        set: &StripeSet,
+    /// Call the first live member of `members` that answers, failing over
+    /// past members that die on the way. Returns the serving member.
+    fn call_first_live(
+        &self,
+        members: impl IntoIterator<Item = usize>,
         record: &[u8],
-        offset: u64,
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
-        for m in set.map().members_of_offset(offset) {
-            if !set.is_up(m) {
+    ) -> std::io::Result<(usize, Vec<u8>)> {
+        let mut last_err = None;
+        for m in members {
+            if !self.stripe.is_up(m) {
                 continue;
             }
-            match self.call_member(set, m, record) {
-                Ok(reply) => {
-                    if let Some(obs) = self.stats.obs() {
-                        obs.emit(
-                            sgfs_obs::Hop::StripeRead,
-                            sgfs_obs::peek_xid(record),
-                            procnum::READ,
-                            m as u64,
-                        );
-                    }
-                    let reply = clamp_striped_read(set, offset, reply);
-                    if self.meta_enabled {
-                        self.snoop_meta(procnum::READ, args, &reply);
-                    }
-                    return Ok(reply);
-                }
-                Err(_) => continue, // call_member marked the member down
+            match self.call_member(m, record) {
+                Ok(reply) => return Ok((m, reply)),
+                Err(e) => last_err = Some(e),
             }
         }
-        Err(std::io::Error::new(
-            std::io::ErrorKind::NotConnected,
-            "every replica of the block is down",
-        ))
-    }
-
-    /// Forward to the lowest-index live member, walking down the set as
-    /// members fail.
-    fn forward_first_live(
-        &mut self,
-        set: &StripeSet,
-        record: &[u8],
-        proc: u32,
-        args: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
-        loop {
-            let Some(m) = set.first_live() else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::NotConnected,
-                    "every stripe-set member is down",
-                ));
-            };
-            match self.call_member(set, m, record) {
-                Ok(reply) => {
-                    if self.meta_enabled {
-                        self.snoop_meta(proc, args, &reply);
-                    }
-                    return Ok(reply);
-                }
-                Err(_) => continue, // member marked down; next survivor
-            }
-        }
+        Err(last_err.unwrap_or_else(all_down))
     }
 
     /// Mirror one call to every live member of `members` (submitting all
-    /// before waiting on any), replying from the lowest-index survivor.
+    /// before waiting on any), replying from the first survivor.
     fn mirror_to(
-        &mut self,
-        set: &StripeSet,
-        members: &[usize],
+        &self,
+        members: impl IntoIterator<Item = usize>,
         record: &[u8],
-        proc: u32,
-        args: &[u8],
     ) -> std::io::Result<Vec<u8>> {
-        let mut pending = Vec::new();
-        for &m in members {
-            if set.is_up(m) {
+        let pending: Vec<_> = members
+            .into_iter()
+            .filter(|&m| self.stripe.is_up(m))
+            .map(|m| {
                 self.stats.add_up(record.len());
-                pending.push((m, set.member(m).submit(record.to_vec())));
-            }
-        }
-        if pending.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "every targeted stripe-set member is down",
-            ));
-        }
+                (m, self.stripe.member(m).submit(record.to_vec()))
+            })
+            .collect();
         let t_io = std::time::Instant::now();
         let mut first: Option<Vec<u8>> = None;
+        let mut last_err = None;
         for (m, reply) in pending {
             // A shed call never executed on that member, so it is settled
             // (re-sent verbatim under backoff) against the same member —
             // the replicas that accepted the call are unaffected.
-            let reply = reply.wait().and_then(|r| {
-                settle_jukebox(&set.member(m), &self.stats, &self.retry, record, r)
-            });
+            let member = self.stripe.member(m);
+            let reply = reply
+                .wait()
+                .and_then(|r| settle_jukebox(&member, &self.stats, &self.retry, record, r));
             match reply {
                 Ok(reply) => {
                     self.stats.add_down(reply.len());
-                    if first.is_none() {
-                        first = Some(reply);
-                    }
+                    first.get_or_insert(reply);
                 }
-                Err(_) => self.fail_member(set, m),
+                Err(e) => {
+                    self.fail_member(m);
+                    last_err = Some(e);
+                }
             }
         }
+        // The upstream round trip is mostly *waiting*; exclude its wall
+        // time from the busy accounting (the GTLS layer re-adds the real
+        // crypto time through the shared busy counter).
         self.stats.exclude(t_io.elapsed());
-        let Some(reply) = first else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "every targeted stripe-set member died mid-call",
-            ));
-        };
-        if self.meta_enabled {
-            self.snoop_meta(proc, args, &reply);
-        }
-        Ok(reply)
+        first.ok_or_else(|| last_err.unwrap_or_else(all_down))
     }
 
     /// One accounted call on one member; a terminal error fails the
     /// member over.
-    fn call_member(
-        &mut self,
-        set: &StripeSet,
-        m: usize,
-        record: &[u8],
-    ) -> std::io::Result<Vec<u8>> {
+    fn call_member(&self, m: usize, record: &[u8]) -> std::io::Result<Vec<u8>> {
         self.stats.add_up(record.len());
         let t_io = std::time::Instant::now();
-        let reply = call_jukebox_patient(&set.member(m), &self.stats, &self.retry, record);
+        let reply = call_jukebox_patient(&self.stripe.member(m), &self.stats, &self.retry, record);
         self.stats.exclude(t_io.elapsed());
         match reply {
             Ok(reply) => {
@@ -1769,7 +1529,7 @@ impl ClientProxy {
                 Ok(reply)
             }
             Err(e) => {
-                self.fail_member(set, m);
+                self.fail_member(m);
                 Err(e)
             }
         }
@@ -1778,8 +1538,10 @@ impl ClientProxy {
     /// Take a member out of the set after a terminal failure: count the
     /// failover, refresh the `degraded` gauge, emit the event — exactly
     /// once per down transition, even racing the read-ahead worker.
-    fn fail_member(&self, set: &StripeSet, m: usize) {
-        fail_member_via(&self.stats, set, m);
+    /// Returns whether the member is out; the last live member never is.
+    fn fail_member(&self, m: usize) -> bool {
+        fail_member_via(&self.stats, &self.stripe, m);
+        !self.stripe.is_up(m)
     }
 
     /// Dial a rejoined host afresh and install the new channel in the
@@ -1788,38 +1550,22 @@ impl ClientProxy {
     /// terminal; the rejoin path therefore cannot reuse the old channel.
     /// Without a reconnector the existing channel is all there is — the
     /// replay below decides whether it still works.
-    fn revive_member(&mut self, m: usize, set: &StripeSet) -> std::io::Result<()> {
+    fn revive_member(&mut self, m: usize) -> std::io::Result<()> {
         let Some(redial) = self.redial.get(m).cloned().flatten() else {
             return Ok(());
         };
         let (upstream, watch) = redial.lock().reconnect(0)?;
-        let pipeline = match &self.pool {
-            Some(pool) => Pipeline::with_recovery_on(
-                pool,
-                upstream,
-                watch,
-                self.window,
-                self.rekey_every,
-                self.stats.clone(),
-                Some(dial_via(&redial)),
-                self.retry,
-            )?,
-            None => Pipeline::with_recovery(
-                upstream,
-                watch,
-                self.window,
-                self.rekey_every,
-                self.stats.clone(),
-                Some(dial_via(&redial)),
-                self.retry,
-            ),
-        };
-        set.replace_member(m, pipeline);
-        if m == 0 {
-            // `self.pipeline` aliases member 0 (rekey and handshake
-            // accounting route through it); keep it on the live channel.
-            self.pipeline = set.member(0);
-        }
+        let pipeline = Pipeline::with_recovery_on(
+            &self.pool,
+            upstream,
+            watch,
+            self.window,
+            self.rekey_every,
+            self.stats.clone(),
+            Some(dial_via(&redial)),
+            self.retry,
+        )?;
+        self.stripe.replace_member(m, pipeline);
         Ok(())
     }
 
@@ -1830,10 +1576,10 @@ impl ClientProxy {
     /// replication again. On error the member stays down and the missed
     /// set is kept — re-sync is idempotent and can simply run again.
     pub fn resync_member(&mut self, m: usize) -> std::io::Result<()> {
-        let Some(set) = self.stripe.clone() else { return Ok(()) };
-        if !set.is_up(m) {
-            self.revive_member(m, &set)?;
+        if !self.stripe.is_up(m) {
+            self.revive_member(m)?;
         }
+        let member = self.stripe.member(m);
         let mut missed: Vec<(Fh3, u64)> = self.missed[m].iter().cloned().collect();
         missed.sort();
         let mut files: Vec<Fh3> = missed.iter().map(|(f, _)| f.clone()).collect();
@@ -1856,9 +1602,8 @@ impl ClientProxy {
             self.next_xid = self.next_xid.wrapping_add(1);
             let record =
                 encode_call(self.next_xid, procnum::WRITE, &self.client_cred, &args);
-            pending.push((set.member(m).submit(record.clone()), record));
+            pending.push((member.submit(record.clone()), record));
         }
-        let member = set.member(m);
         let mut verf: Option<u64> = None;
         for (reply, record) in pending {
             let v = collect_write_reply(&member, &self.stats, &self.retry, &record, reply)?;
@@ -1872,7 +1617,7 @@ impl ClientProxy {
             self.next_xid = self.next_xid.wrapping_add(1);
             let commit = CommitArgs { file: fh, offset: 0, count: 0 };
             let res: CommitRes = call_via(
-                &set.member(m),
+                &member,
                 self.next_xid,
                 procnum::COMMIT,
                 &self.client_cred,
@@ -1901,7 +1646,7 @@ impl ClientProxy {
             self.next_xid = self.next_xid.wrapping_add(1);
             let probe = Fh3::from_ino(0, 0);
             let _: GetAttrRes = call_via(
-                &set.member(m),
+                &member,
                 self.next_xid,
                 procnum::GETATTR,
                 &self.client_cred,
@@ -1910,8 +1655,8 @@ impl ClientProxy {
             .map_err(|_| std::io::Error::other("re-sync probe failed: member stays down"))?;
         }
         self.missed[m].clear();
-        set.mark_up(m);
-        self.stats.set_degraded(set.down_count());
+        self.stripe.mark_up(m);
+        self.stats.set_degraded(self.stripe.down_count());
         self.stats.add_replica_write();
         if let Some(obs) = self.stats.obs() {
             obs.emit(sgfs_obs::Hop::ReplicaWrite, 0, sgfs_obs::NO_PROC, m as u64);
@@ -1928,12 +1673,12 @@ impl ClientProxy {
     }
 
     /// Record a passively-observed attr (GETATTR/LOOKUP/ACCESS/READ
-    /// replies). In a striped session a single member's attr undershoots
+    /// replies). Outside a mirrored set a single member's attr undershoots
     /// the file size whenever that member lacks the final block, so
     /// passive observations may only *grow* the cached size; an explicit
     /// client SETATTR (truncation) updates the cache directly instead.
     fn note_attr(&mut self, fh: &Fh3, mut attr: Fattr3) -> Fattr3 {
-        if self.stripe.is_some() {
+        if !self.stripe.map().mirrored() {
             if let Some(prev) = self.meta.attrs.get(fh) {
                 attr.size = attr.size.max(prev.size);
             }
@@ -1992,40 +1737,32 @@ impl ClientProxy {
         }
     }
 
-    /// A proxy-initiated upstream call (flushes, attr fetches). Striped
-    /// sessions route it to the first live member, walking down the set
-    /// as members fail.
+    /// A proxy-initiated upstream call (attr fetches), routed to the
+    /// first live member.
     fn call_upstream<T: XdrDecode>(
         &mut self,
         proc: u32,
         args: &dyn XdrEncode,
     ) -> Result<T, String> {
         self.next_xid = self.next_xid.wrapping_add(1);
-        if let Some(set) = self.stripe.clone() {
-            let record = encode_call(self.next_xid, proc, &self.client_cred, args);
-            loop {
-                let Some(m) = set.first_live() else {
-                    return Err(format!(
-                        "upstream call proc {proc} failed: every member is down"
-                    ));
-                };
-                match self.call_member(&set, m, &record) {
-                    Ok(reply) => {
-                        let body = success_body(&reply)
-                            .ok_or_else(|| format!("upstream call proc {proc} failed"))?;
-                        return T::from_xdr_bytes(body)
-                            .map_err(|_| format!("upstream call proc {proc} failed"));
-                    }
-                    Err(_) => continue,
-                }
-            }
-        }
         let record = encode_call(self.next_xid, proc, &self.client_cred, args);
-        let reply = call_jukebox_patient(&self.pipeline, &self.stats, &self.retry, &record)
-            .map_err(|_| format!("upstream call proc {proc} failed"))?;
-        let body =
-            success_body(&reply).ok_or_else(|| format!("upstream call proc {proc} failed"))?;
-        T::from_xdr_bytes(body).map_err(|_| format!("upstream call proc {proc} failed"))
+        let failed = || format!("upstream call proc {proc} failed");
+        let (_, reply) =
+            self.call_first_live(0..self.stripe.width(), &record).map_err(|_| failed())?;
+        let body = success_body(&reply).ok_or_else(failed)?;
+        T::from_xdr_bytes(body).map_err(|_| failed())
+    }
+}
+
+impl Drop for ClientProxy {
+    fn drop(&mut self) {
+        // Closing the queue ends the read-ahead worker; joining it means
+        // no thread outlives the proxy, and the worker's member handles
+        // drop before the proxy's own.
+        self.prefetch_tx.take();
+        if let Some(worker) = self.prefetch_worker.take() {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -2079,6 +1816,20 @@ fn parse_write_verf(reply: &[u8]) -> std::io::Result<u64> {
     Ok(res.verf)
 }
 
+/// An NFS status as a flush step's result.
+fn nfs_ok(status: NfsStat3, what: &str) -> std::io::Result<()> {
+    match status {
+        NfsStat3::Ok => Ok(()),
+        other => Err(std::io::Error::other(format!("{what} failed: {other:?}"))),
+    }
+}
+
+/// The error of a call with no live member left to take it.
+fn all_down() -> std::io::Error {
+    let msg = "every targeted stripe-set member is down";
+    std::io::Error::new(std::io::ErrorKind::NotConnected, msg)
+}
+
 /// Encode one complete call record (header + arguments).
 fn encode_call(xid: u32, proc: u32, cred: &OpaqueAuth, args: &dyn XdrEncode) -> Vec<u8> {
     let header = CallHeader {
@@ -2095,14 +1846,12 @@ fn encode_call(xid: u32, proc: u32, cred: &OpaqueAuth, args: &dyn XdrEncode) -> 
     enc.into_bytes()
 }
 
-/// Issue one call through the pipeline and decode the successful result.
 /// A striped member stores only its mapped blocks: a READ crossing the
 /// stripe-block boundary would be served past the member's own block from
 /// its holes (zeros). Truncate the reply at the boundary — a short read
 /// is legal NFS, and the client's next READ routes to the right member.
-fn clamp_striped_read(set: &StripeSet, offset: u64, reply: Vec<u8>) -> Vec<u8> {
-    let bs = set.map().block_size() as u64;
-    let keep = ((offset / bs + 1) * bs - offset) as usize;
+fn clamp_striped_read(placement: &StripeMap, offset: u64, reply: Vec<u8>) -> Vec<u8> {
+    let keep = placement.contiguous_from(offset) as usize;
     let Some(body) = success_body(&reply) else { return reply };
     let Ok(mut res) = ReadRes::from_xdr_bytes(body) else { return reply };
     if res.data.len() <= keep {
@@ -2115,6 +1864,7 @@ fn clamp_striped_read(set: &StripeSet, offset: u64, reply: Vec<u8>) -> Vec<u8> {
     encode_reply(xid, &res)
 }
 
+/// Issue one call through the pipeline and decode the successful result.
 fn call_via<T: XdrDecode>(
     pipeline: &Pipeline,
     xid: u32,

@@ -3,7 +3,8 @@
 //! A session placed across several FSS upstreams (see
 //! [`StripePolicy`](crate::config::StripePolicy)) routes every file block
 //! through the **stripe map**: a pure function from block index to the
-//! `replicas` distinct members that hold the block. The map is
+//! `replicas` distinct members that hold the block. A single upstream is
+//! the width-1, 1-replica map: every block on its one member. The map is
 //! deterministic — no RNG, no state — so the client, a rebuilt client,
 //! and a test oracle all agree on the placement, and a reconnect cannot
 //! silently re-home blocks.
@@ -70,19 +71,41 @@ impl StripeMap {
     /// The distinct members holding `block`, in read-preference order
     /// (the first is the block's primary).
     pub fn members_of_block(&self, block: u64) -> Vec<usize> {
-        let base = block * self.replicas as u64;
-        (0..self.replicas as u64)
-            .map(|j| ((base + j) % self.width as u64) as usize)
-            .collect()
+        self.holders(block).collect()
     }
 
     /// The members holding the block containing byte `offset`.
     pub fn members_of_offset(&self, offset: u64) -> Vec<usize> {
-        self.members_of_block(self.block_of(offset))
+        self.holders(self.block_of(offset)).collect()
+    }
+
+    /// [`members_of_block`](Self::members_of_block) without the
+    /// allocation, for the per-call paths.
+    pub fn holders(&self, block: u64) -> impl Iterator<Item = usize> {
+        let (width, base) = (self.width as u64, block * self.replicas as u64);
+        (0..self.replicas as u64).map(move |j| ((base + j) % width) as usize)
+    }
+
+    /// Whether every block lives on every member (`replicas == width`;
+    /// width 1 is the single-upstream session). Such a set needs no
+    /// per-block routing: each member holds whole files, so no WRITE is
+    /// split, no READ is clamped and no member's file size undershoots.
+    pub fn mirrored(&self) -> bool {
+        self.replicas == self.width
+    }
+
+    /// Bytes from `offset` to the end of its stripe block — how far one
+    /// member's copy runs contiguously. Unbounded in a mirrored set.
+    pub fn contiguous_from(&self, offset: u64) -> u64 {
+        if self.mirrored() {
+            return u64::MAX;
+        }
+        let bs = self.block_size as u64;
+        bs - offset % bs
     }
 }
 
-/// One upstream member of a striped session.
+/// One upstream member of a stripe set.
 ///
 /// The pipeline slot is shared across every clone of the set (the proxy
 /// and its read-ahead worker), so a re-sync can swap in a fresh channel
@@ -100,11 +123,17 @@ struct Member {
 /// Down is sticky until [`mark_up`](Self::mark_up): a member is marked
 /// down when a call on it fails terminally (its own reconnect/replay
 /// machinery already ran and gave up), and rejoins only after an explicit
-/// re-sync (`ClientProxy::resync_member`).
+/// re-sync (`ClientProxy::resync_member`). The last live member is never
+/// marked down: with no survivor to route to, its errors go to the caller
+/// and its pipeline keeps reconnecting — at width 1 exactly the
+/// single-upstream session's behaviour.
 #[derive(Clone)]
 pub struct StripeSet {
     map: StripeMap,
     members: Vec<Member>,
+    /// Serializes down transitions, so two racing failures (the proxy
+    /// and its read-ahead worker) cannot both see a survivor in the other.
+    downing: Arc<Mutex<()>>,
 }
 
 impl StripeSet {
@@ -125,6 +154,7 @@ impl StripeSet {
                     up: Arc::new(AtomicBool::new(true)),
                 })
                 .collect(),
+            downing: Arc::default(),
         }
     }
 
@@ -155,11 +185,14 @@ impl StripeSet {
         self.members[idx].up.load(Ordering::Acquire)
     }
 
-    /// Take the member out of the read/write set. Returns `true` if this
-    /// call transitioned it (so callers emit the failover event exactly
-    /// once per incident even when racing the read-ahead worker).
+    /// Take the member out of the read/write set, unless it is the last
+    /// live member. Returns `true` if this call transitioned it (so
+    /// callers emit the failover event exactly once per incident even
+    /// when racing the read-ahead worker).
     pub fn mark_down(&self, idx: usize) -> bool {
-        self.members[idx].up.swap(false, Ordering::AcqRel)
+        let _downing = self.downing.lock().unwrap_or_else(|e| e.into_inner());
+        let survivor = (0..self.width()).any(|m| m != idx && self.is_up(m));
+        survivor && self.members[idx].up.swap(false, Ordering::AcqRel)
     }
 
     /// Return a re-synced member to the read/write set.
@@ -170,21 +203,6 @@ impl StripeSet {
     /// Members currently marked down.
     pub fn down_count(&self) -> u64 {
         self.members.iter().filter(|m| !m.up.load(Ordering::Acquire)).count() as u64
-    }
-
-    /// The live members of `block`, in read-preference order.
-    pub fn live_members_of_block(&self, block: u64) -> Vec<usize> {
-        self.map
-            .members_of_block(block)
-            .into_iter()
-            .filter(|&m| self.is_up(m))
-            .collect()
-    }
-
-    /// The lowest-index live member (metadata traffic routes here), or
-    /// `None` when every member is down.
-    pub fn first_live(&self) -> Option<usize> {
-        (0..self.members.len()).find(|&m| self.is_up(m))
     }
 }
 
@@ -221,6 +239,9 @@ mod tests {
         for b in [0, 1, 7, 1000] {
             assert_eq!(m.members_of_block(b), vec![0]);
         }
+        assert!(m.mirrored(), "the single upstream holds every block");
+        assert_eq!(m.contiguous_from(700), u64::MAX, "no stripe-block boundary");
+        assert!(map(3, 3, 512).mirrored() && !map(3, 2, 512).mirrored());
     }
 
     #[test]
@@ -230,6 +251,7 @@ mod tests {
         assert_eq!(m.block_of(511), 0);
         assert_eq!(m.block_of(512), 1);
         assert_eq!(m.members_of_offset(1024), m.members_of_block(2));
+        assert_eq!(m.contiguous_from(1000), 24, "runs to the block's end");
     }
 
     #[test]
@@ -348,14 +370,14 @@ mod tests {
         }
         let set = StripeSet::new(m, pipelines);
         assert_eq!(set.width(), 2);
-        assert_eq!(set.first_live(), Some(0));
-        assert_eq!(set.live_members_of_block(0), vec![0, 1]);
+        assert!(set.is_up(0) && set.is_up(1));
 
         assert!(set.mark_down(0), "first mark_down transitions");
         assert!(!set.mark_down(0), "second is a no-op");
         assert_eq!(set.down_count(), 1);
-        assert_eq!(set.first_live(), Some(1));
-        assert_eq!(set.live_members_of_block(0), vec![1]);
+        assert!(!set.mark_down(1), "the last live member stays up");
+        assert!(set.is_up(1));
+        assert_eq!(set.down_count(), 1);
 
         // A clone shares the flags: failover seen by one handle is seen
         // by all (the read-ahead worker and the main loop agree).

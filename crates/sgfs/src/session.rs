@@ -15,13 +15,13 @@
 //! | `Sfs`     | RC4 proxies, aggressive memory metadata cache + read-ahead |
 
 use crate::config::{CacheMode, DurabilityPolicy, HopCost, RetryPolicy, SecurityLevel, SessionConfig};
-use crate::proxy::client::{ClientProxy, ClientProxyController, Upstream};
+use crate::proxy::client::{ClientProxy, ClientProxyController, StripeUpstream, Upstream};
 use crate::proxy::server::ServerProxy;
 use crate::proxy::ProxyError;
 use crate::tunnel::{tunnel_start, TunnelGuard};
 use sgfs_crypto::rsa::RsaKeyPair;
-use sgfs_gtls::{handshake_pair, GtlsError, GtlsHandshake, GtlsStream};
-use sgfs_net::{pipe_pair, pipe_pair_over_link, Link, LinkSpec, SimClock};
+use sgfs_gtls::{handshake_pair, GtlsConfig, GtlsError, GtlsHandshake, GtlsStream};
+use sgfs_net::{pipe_pair, pipe_pair_over_link, Link, LinkSpec, PipeWatch, SimClock};
 use sgfs_nfs3::{Fh3, Nfs3Client};
 use sgfs_nfsclient::{MountOptions, NfsMount};
 use sgfs_nfsd::{ExportEntry, Exports, NfsServer};
@@ -265,7 +265,7 @@ pub struct SessionParams {
     pub client_pool: Option<Arc<sgfs_oncrpc::ClientIoPool>>,
     /// Multi-server placement: stripe the session's file blocks across
     /// `width` FSS upstreams and replicate each block to `replicas` of
-    /// them. `None` or width 1 = the classic single-upstream session.
+    /// them. `None` or width 1 = a single upstream (a width-1 set).
     /// Striping requires a proxied stack (gfs / sgfs / sfs): the kernel
     /// baselines and the ssh tunnel have a single wire by construction.
     pub stripe: Option<crate::config::StripePolicy>,
@@ -368,28 +368,8 @@ impl Session {
         clock: Arc<SimClock>,
     ) -> Result<Session, SessionError> {
         // --- the file server host ---
-        let vfs = params.vfs.clone().unwrap_or_else(|| Arc::new(Vfs::new()));
-        let root_ctx = UserContext::root();
-        vfs.mkdir_p("/GFS", 0o755, &root_ctx).expect("export tree");
-        // The export is owned by the file account so mapped users can work in it.
-        let gfs_attr = vfs.resolve("/GFS", &root_ctx).expect("just created");
-        vfs.setattr(
-            gfs_attr.ino,
-            &sgfs_vfs::SetAttrs {
-                uid: Some(FILE_UID),
-                gid: Some(FILE_UID),
-                ..Default::default()
-            },
-            &root_ctx,
-        )
-        .expect("chown export");
-        let mut exports = Exports::new();
-        exports.add(ExportEntry::localhost("/GFS"));
-        // The trusted proxy presents mapped credentials; no squashing.
-        let server = NfsServer::new_no_squash(vfs, exports);
-        let root_fh = server
-            .mount("/GFS", "localhost")
-            .ok_or_else(|| SessionError::Mount("/GFS not exported to localhost".into()))?;
+        let (server, root_fh) =
+            file_host(params.vfs.clone().unwrap_or_else(|| Arc::new(Vfs::new())))?;
 
         // --- the WAN link between the hosts ---
         let link = Link::new(
@@ -460,27 +440,7 @@ impl Session {
             _ => {}
         }
 
-        // --- proxied stacks: wire across the link ---
-        let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
-        // Readiness must observe the raw wire, before fault injectors or
-        // GTLS wrap the stream: arrivals are arrivals regardless of what
-        // decrypts them. Both directions get a watch — the server side
-        // feeds a shard loop, the client side feeds the client I/O pool.
-        let wire_watch = wire_server.watch();
-        let client_wire_watch = wire_client.watch();
-
-        // Server-proxy-side plumbing: two in-process loopbacks to nfsd.
-        // Synchronous dispatch (no pipe, no thread) keeps the proxy free
-        // to run on a shard — it can never block on another thread's
-        // progress to reach its own backend.
-        let make_forward = || Box::new(LoopbackStream::new(server.clone())) as sgfs_net::BoxStream;
-        let make_acl_client = || {
-            let mut c = Nfs3Client::new(Box::new(LoopbackStream::new(server.clone())));
-            // The proxy's own service identity ("user gfs" in §5).
-            c.set_cred(OpaqueAuth::sys(&AuthSysParams::new("file-host", 0, 0)));
-            c
-        };
-
+        // --- proxied stacks ---
         let mut server_cfg = SessionConfig::new(match params.kind {
             SetupKind::Sgfs(level) => level,
             SetupKind::Sfs => SecurityLevel::MediumCipher,
@@ -500,7 +460,7 @@ impl Session {
         });
         client_cfg.expected_peer = Some(world.server.effective_dn().clone());
         client_cfg.rekey_every_records = params.rekey_every;
-        let striped = params.stripe.is_some_and(|p| p.width > 1);
+        let width = params.stripe.map_or(1, |p| p.width.max(1)) as usize;
         client_cfg.cache = match (&params.kind, &params.disk_cache_dir) {
             (SetupKind::Sfs, _) => CacheMode::MemoryMeta,
             (_, Some(dir)) => CacheMode::Disk { dir: dir.clone() },
@@ -508,7 +468,7 @@ impl Session {
             // upstream can answer a whole-file GETATTR: the session-local
             // write-back cache is the size authority for striped
             // placements.
-            (_, None) if striped => CacheMode::MemoryMeta,
+            (_, None) if width > 1 => CacheMode::MemoryMeta,
             (_, None) => CacheMode::None,
         };
         client_cfg.readahead = params
@@ -518,15 +478,15 @@ impl Session {
         client_cfg.durability = params.durability;
         client_cfg.obs = params.obs.clone();
         client_cfg.client_pool = params.client_pool.clone();
+        client_cfg.stripe = params.stripe;
 
-        // --- striped placement: one full server stack per member, one
-        // client proxy across all of them. Each member is its own file
-        // host: a fresh backing store that receives the identical
-        // mirrored metadata op sequence, so handles and directory
-        // structure stay byte-identical across the stripe set and any
-        // member can serve any metadata call.
-        let stripe_width = params.stripe.map(|p| p.width.max(1)).unwrap_or(1) as usize;
-        if stripe_width > 1 {
+        // --- one full server stack per upstream member, one client proxy
+        // across all of them; a single upstream is width 1. Each member
+        // past the first is its own file host: a fresh backing store that
+        // receives the identical mirrored metadata op sequence, so handles
+        // and directory structure stay byte-identical across the stripe
+        // set and any member can serve any metadata call.
+        if width > 1 {
             if !matches!(params.kind, SetupKind::Gfs | SetupKind::Sgfs(_) | SetupKind::Sfs) {
                 return Err(SessionError::Proxy(ProxyError::Protocol(
                     "striping requires a proxied gfs/sgfs/sfs stack".into(),
@@ -539,325 +499,95 @@ impl Session {
                     "a striped session cannot share a caller-provided vfs".into(),
                 )));
             }
-            client_cfg.stripe = params.stripe;
-            let server_accept_gtls = server_cfg.gtls();
-            let client_gtls = client_cfg.gtls();
-            let mut upstreams: Vec<crate::proxy::client::StripeUpstream> =
-                Vec::with_capacity(stripe_width);
-            for m in 0..stripe_width {
-                // Member 0 reuses the host assembled at the top of this
-                // function; the others get fresh, structurally identical
-                // hosts of their own.
-                let (m_server, m_root) = if m == 0 {
-                    (server.clone(), root_fh.clone())
+        }
+        let server_gtls = server_cfg.gtls();
+        let client_gtls = client_cfg.gtls();
+        let mut upstreams: Vec<StripeUpstream> = Vec::with_capacity(width);
+        for m in 0..width {
+            let (m_server, m_root) = match m {
+                0 => (server.clone(), root_fh.clone()),
+                _ => file_host(Arc::new(Vfs::new()))?,
+            };
+            if m_root != root_fh {
+                return Err(SessionError::Mount(
+                    "replica export handles diverge across the stripe set".into(),
+                ));
+            }
+            let (upstream, client_watch, downstream, server_watch) =
+                if params.kind == SetupKind::GfsSsh {
+                    let key: [u8; 32] = rand::random();
+                    let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
+                    let hop = Some((clock.clone(), params.hop_cost));
+                    // Two-phase establishment on this thread: both hellos
+                    // are written before either side reads, so no
+                    // concurrent peer (and no transient thread) is needed.
+                    let client_pend = tunnel_start(wire_client, &key, true, hop.clone())?;
+                    let server_pend = tunnel_start(wire_server, &key, false, hop)?;
+                    // The tunnel's forwarder threads drain the wire; the
+                    // event loops must watch the local plaintext pipes
+                    // they feed.
+                    let (client_stream, client_watch, client_guard) = client_pend.finish()?;
+                    let (server_stream, server_watch, server_guard) = server_pend.finish()?;
+                    session.tunnel_guards.extend([client_guard, server_guard]);
+                    let down = Downstream::Plain(server_stream);
+                    (Upstream::Plain(client_stream), client_watch, down, server_watch)
                 } else {
-                    let vfs = Arc::new(Vfs::new());
-                    vfs.mkdir_p("/GFS", 0o755, &root_ctx).expect("export tree");
-                    let attr = vfs.resolve("/GFS", &root_ctx).expect("just created");
-                    vfs.setattr(
-                        attr.ino,
-                        &sgfs_vfs::SetAttrs {
-                            uid: Some(FILE_UID),
-                            gid: Some(FILE_UID),
-                            ..Default::default()
-                        },
-                        &root_ctx,
-                    )
-                    .expect("chown export");
-                    let mut exports = Exports::new();
-                    exports.add(ExportEntry::localhost("/GFS"));
-                    let s = NfsServer::new_no_squash(vfs, exports);
-                    let r = s.mount("/GFS", "localhost").ok_or_else(|| {
-                        SessionError::Mount("/GFS not exported to localhost".into())
-                    })?;
-                    (s, r)
+                    dial(&link, client_gtls.clone(), server_gtls.clone())?
                 };
-                if m_root != root_fh {
-                    return Err(SessionError::Mount(
-                        "replica export handles diverge across the stripe set".into(),
-                    ));
-                }
-                let (wire_c, wire_s) = pipe_pair_over_link(link.clone());
-                let s_watch = wire_s.watch();
-                let c_watch = wire_c.watch();
-                let forward =
-                    Box::new(LoopbackStream::new(m_server.clone())) as sgfs_net::BoxStream;
-                let mut acl = Nfs3Client::new(Box::new(LoopbackStream::new(m_server.clone())));
-                acl.set_cred(OpaqueAuth::sys(&AuthSysParams::new("file-host", 0, 0)));
-                let (m_upstream, m_proxy): (Upstream, Arc<ServerProxy>) =
-                    match (client_gtls.clone(), server_accept_gtls.clone()) {
-                        (Some(ccfg), Some(scfg)) => {
-                            let (client_tls, mut server_tls) = handshake_pair(
-                                GtlsHandshake::client(
-                                    Box::new(wire_c),
-                                    Some(c_watch.clone()),
-                                    ccfg,
-                                ),
-                                GtlsHandshake::server(
-                                    Box::new(wire_s),
-                                    Some(s_watch.clone()),
-                                    scfg,
-                                ),
-                            )?;
-                            let peer = server_tls.peer().clone();
-                            let proxy = ServerProxy::new(
-                                server_cfg.clone(),
-                                &peer,
-                                forward,
-                                acl,
-                                m_root,
-                            )?;
-                            server_tls.busy_counter = Some(proxy.stats().busy_counter());
-                            shards.add_session(
-                                Box::new(server_tls),
-                                s_watch.clone(),
-                                proxy.clone(),
-                            )?;
-                            (Upstream::Tls(Box::new(client_tls)), proxy)
-                        }
-                        _ => {
-                            let proxy = ServerProxy::new(
-                                server_cfg.clone(),
-                                &synthetic_peer(world),
-                                forward,
-                                acl,
-                                m_root,
-                            )?;
-                            shards.add_session(
-                                Box::new(wire_s),
-                                s_watch.clone(),
-                                proxy.clone(),
-                            )?;
-                            (Upstream::Plain(Box::new(wire_c)), proxy)
-                        }
-                    };
-                m_proxy.set_hop_cost(clock.clone(), params.hop_cost);
-                // Per-member fault recovery: the member re-dials its own
-                // host through its own reconnector (PR 2 machinery, one
-                // instance per upstream).
-                let sp = m_proxy.clone();
-                let ccfg_r = client_gtls.clone();
-                let scfg_r = server_accept_gtls.clone();
-                let dial_link = link.clone();
-                let dial_shards = shards.clone();
-                let reconnector: Option<Box<dyn crate::proxy::retry::Reconnector>> =
-                    Some(Box::new(
-                        move |_attempt: u32| -> std::io::Result<(
-                            Upstream,
-                            sgfs_net::PipeWatch,
-                        )> {
-                            let (c, s) = pipe_pair_over_link(dial_link.clone());
-                            let c_watch = c.watch();
-                            let s_watch = s.watch();
-                            let sp = sp.clone();
-                            match (ccfg_r.clone(), scfg_r.clone()) {
-                                (Some(ccfg), Some(scfg)) => {
-                                    let (client_tls, mut server_tls) = handshake_pair(
-                                        GtlsHandshake::client(
-                                            Box::new(c),
-                                            Some(c_watch.clone()),
-                                            ccfg,
-                                        ),
-                                        GtlsHandshake::server(
-                                            Box::new(s),
-                                            Some(s_watch.clone()),
-                                            scfg,
-                                        ),
-                                    )
-                                    .map_err(std::io::Error::from)?;
-                                    server_tls.busy_counter =
-                                        Some(sp.stats().busy_counter());
-                                    dial_shards.add_session(
-                                        Box::new(server_tls),
-                                        s_watch,
-                                        sp,
-                                    )?;
-                                    Ok((Upstream::Tls(Box::new(client_tls)), c_watch))
-                                }
-                                _ => {
-                                    dial_shards.add_session(Box::new(s), s_watch, sp)?;
-                                    Ok((Upstream::Plain(Box::new(c)), c_watch))
-                                }
-                            }
-                        },
-                    ));
-                if m == 0 {
-                    session.server_proxy = Some(m_proxy);
-                }
-                session.replica_servers.push(m_server);
-                upstreams.push((m_upstream, c_watch, reconnector));
-            }
-
-            let mut client_proxy = ClientProxy::with_stripe(upstreams, &client_cfg)?;
-            client_proxy.set_hop_cost(clock.clone(), params.hop_cost);
-            client_proxy.start_readahead();
-            session.controller = Some(client_proxy.controller());
-            session.client_stats = Some(client_proxy.stats().clone());
-            let (mount_end, proxy_end) = pipe_pair();
-            let (tx, rx) = mpsc::channel();
-            std::thread::spawn(move || {
-                let result = client_proxy.run(Box::new(proxy_end));
-                let _ = tx.send(result);
+            // Server proxy: authorize and serve.
+            let peer = match &downstream {
+                Downstream::Tls(t) => t.peer().clone(),
+                Downstream::Plain(_) => synthetic_peer(world),
+            };
+            let mut acl = Nfs3Client::new(Box::new(LoopbackStream::new(m_server.clone())));
+            // The proxy's own service identity ("user gfs" in §5).
+            acl.set_cred(OpaqueAuth::sys(&AuthSysParams::new("file-host", 0, 0)));
+            // Synchronous in-process loopbacks to nfsd (no pipe, no
+            // thread) keep the proxy free to run on a shard — it can never
+            // block on another thread's progress to reach its own backend.
+            let proxy = ServerProxy::new(
+                server_cfg.clone(),
+                &peer,
+                Box::new(LoopbackStream::new(m_server.clone())),
+                acl,
+                m_root,
+            )?;
+            proxy.set_hop_cost(clock.clone(), params.hop_cost);
+            serve(&shards, downstream, server_watch, &proxy)?;
+            // Per-member fault recovery: when the inter-proxy channel dies
+            // with a transient fault, the member's pipeline re-dials its
+            // own host through this closure — a fresh pipe over the same
+            // link, handshaked inline on the calling pool worker and
+            // pinned onto the shard core: no transient thread, no
+            // persistent acceptor. GfsSsh keeps its single tunnel (no
+            // re-keying path).
+            let reconnector = (params.kind != SetupKind::GfsSsh).then(|| {
+                let (sp, link, shards) = (proxy.clone(), link.clone(), shards.clone());
+                let (ccfg, scfg) = (client_gtls.clone(), server_gtls.clone());
+                Box::new(move |_attempt: u32| {
+                    // A handshake failure kills this dial only; the
+                    // client backs off and retries.
+                    let (up, client_watch, down, server_watch) =
+                        dial(&link, ccfg.clone(), scfg.clone())?;
+                    serve(&shards, down, server_watch, &sp)?;
+                    Ok((up, client_watch))
+                }) as Box<dyn crate::proxy::retry::Reconnector>
             });
-            session.client_proxy_rx = Some(rx);
-            let mut nfs = Nfs3Client::new(Box::new(mount_end));
-            nfs.set_cred(job_cred);
-            session.mount = NfsMount::new(nfs, root_fh, mount_opts);
-            return Ok(session);
+            if m == 0 {
+                session.server_proxy = Some(proxy);
+            }
+            session.replica_servers.push(m_server);
+            upstreams.push((upstream, client_watch, reconnector));
         }
 
-        // Establish the inter-proxy channel per configuration.
-        enum Downstream {
-            Plain(sgfs_net::BoxStream),
-            Tls(Box<GtlsStream>),
-        }
-        let (client_upstream, server_peer, server_downstream, server_watch, client_watch): (
-            Upstream,
-            ValidatedPeer,
-            Downstream,
-            sgfs_net::PipeWatch,
-            sgfs_net::PipeWatch,
-        ) = match params.kind {
-            SetupKind::GfsSsh => {
-                let key: [u8; 32] = rand::random();
-                let hop_s = Some((clock.clone(), params.hop_cost));
-                let hop_c = hop_s.clone();
-                // Two-phase establishment on this thread: both hellos are
-                // written before either side reads, so no concurrent peer
-                // (and no transient thread) is needed.
-                let client_pend = tunnel_start(wire_client, &key, true, hop_c)?;
-                let server_pend = tunnel_start(wire_server, &key, false, hop_s)?;
-                let (client_stream, client_tunnel_watch, client_guard) = client_pend.finish()?;
-                // The tunnel's forwarder threads drain the wire; the event
-                // loops must watch the local plaintext pipes they feed.
-                let (server_stream, tunnel_watch, server_guard) = server_pend.finish()?;
-                session.tunnel_guards.push(client_guard);
-                session.tunnel_guards.push(server_guard);
-                (
-                    Upstream::Plain(client_stream),
-                    synthetic_peer(world),
-                    Downstream::Plain(server_stream),
-                    tunnel_watch,
-                    client_tunnel_watch,
-                )
-            }
-            SetupKind::Gfs => (
-                Upstream::Plain(Box::new(wire_client)),
-                synthetic_peer(world),
-                Downstream::Plain(Box::new(wire_server)),
-                wire_watch,
-                client_wire_watch,
-            ),
-            _ => {
-                // GTLS mutual authentication between the proxies: the two
-                // resumable handshake machines are alternated on this
-                // thread until both complete — no handshake thread.
-                let scfg = server_cfg.gtls().expect("secure kinds have a suite");
-                let ccfg = client_cfg.gtls().expect("secure kinds have a suite");
-                let (client_tls, server_tls) = handshake_pair(
-                    GtlsHandshake::client(
-                        Box::new(wire_client),
-                        Some(client_wire_watch.clone()),
-                        ccfg,
-                    ),
-                    GtlsHandshake::server(Box::new(wire_server), Some(wire_watch.clone()), scfg),
-                )?;
-                let peer = server_tls.peer().clone();
-
-                (
-                    Upstream::Tls(Box::new(client_tls)),
-                    peer,
-                    Downstream::Tls(Box::new(server_tls)),
-                    wire_watch,
-                    client_wire_watch,
-                )
-            }
-        };
-
-        // Server proxy: authorize and serve.
-        let server_accept_gtls = server_cfg.gtls();
-        let server_proxy = ServerProxy::new(
-            server_cfg,
-            &server_peer,
-            make_forward(),
-            make_acl_client(),
-            root_fh.clone(),
-        )?;
-        server_proxy.set_hop_cost(clock.clone(), params.hop_cost);
-        let server_downstream: sgfs_net::BoxStream = match server_downstream {
-            Downstream::Plain(s) => s,
-            Downstream::Tls(mut t) => {
-                // Attribute record crypto to the server proxy's CPU account.
-                t.busy_counter = Some(server_proxy.stats().busy_counter());
-                t
-            }
-        };
-        shards.add_session(server_downstream, server_watch, server_proxy.clone())?;
-
-        // Reconnector: when the inter-proxy channel dies with a transient
-        // fault, the pipeline re-dials through this closure. A dial lays a
-        // fresh pipe over the same emulated link, alternates the two
-        // resumable GTLS handshake machines inline on the calling pool
-        // worker (for secure kinds), and pins the fresh connection onto
-        // the shard core — no transient thread, no persistent acceptor.
-        // GfsSsh keeps its single tunnel (no re-keying path), and the
-        // kernel baselines have no proxy to recover.
-        let reconnector: Option<Box<dyn crate::proxy::retry::Reconnector>> = match params.kind
-        {
-            SetupKind::Gfs | SetupKind::Sgfs(_) | SetupKind::Sfs => {
-                let sp = server_proxy.clone();
-                let client_gtls = client_cfg.gtls();
-                let link = link.clone();
-                let dial_shards = shards.clone();
-                Some(Box::new(
-                    move |_attempt: u32| -> std::io::Result<(Upstream, sgfs_net::PipeWatch)> {
-                        let (c, s) = pipe_pair_over_link(link.clone());
-                        let c_watch = c.watch();
-                        let s_watch = s.watch();
-                        let sp = sp.clone();
-                        match (client_gtls.clone(), server_accept_gtls.clone()) {
-                            (Some(ccfg), Some(scfg)) => {
-                                // A handshake failure kills this dial only;
-                                // the client backs off and retries.
-                                let (client_tls, mut server_tls) = handshake_pair(
-                                    GtlsHandshake::client(
-                                        Box::new(c),
-                                        Some(c_watch.clone()),
-                                        ccfg,
-                                    ),
-                                    GtlsHandshake::server(
-                                        Box::new(s),
-                                        Some(s_watch.clone()),
-                                        scfg,
-                                    ),
-                                )
-                                .map_err(std::io::Error::from)?;
-                                server_tls.busy_counter = Some(sp.stats().busy_counter());
-                                dial_shards.add_session(Box::new(server_tls), s_watch, sp)?;
-                                Ok((Upstream::Tls(Box::new(client_tls)), c_watch))
-                            }
-                            _ => {
-                                dial_shards.add_session(Box::new(s), s_watch, sp)?;
-                                Ok((Upstream::Plain(Box::new(c)), c_watch))
-                            }
-                        }
-                    },
-                ))
-            }
-            _ => None,
-        };
-
-        // Client proxy. Its upstream is pipelined (xid-demultiplexed), so
-        // the read-ahead worker rides the same channel — no second
+        // Client proxy. Its upstreams are pipelined (xid-demultiplexed),
+        // so the read-ahead worker rides the same channels — no second
         // connection, no second handshake.
-        let mut client_proxy =
-            ClientProxy::with_reconnector(client_upstream, client_watch, &client_cfg, reconnector)?;
+        let mut client_proxy = ClientProxy::with_stripe(upstreams, &client_cfg)?;
         client_proxy.set_hop_cost(clock.clone(), params.hop_cost);
         client_proxy.start_readahead();
-
         session.controller = Some(client_proxy.controller());
         session.client_stats = Some(client_proxy.stats().clone());
-        session.server_proxy = Some(server_proxy);
 
         // Downstream pipe: kernel client ↔ client proxy (same host).
         let (mount_end, proxy_end) = pipe_pair();
@@ -901,8 +631,9 @@ impl Session {
         self.server_proxy.as_ref()
     }
 
-    /// The per-member kernel servers of a striped session, in member
-    /// order (empty when the session has a single upstream).
+    /// The per-member kernel servers of a proxied session, in member
+    /// order (just [`server`](Self::server) at width 1; empty for the
+    /// kernel baselines).
     pub fn replica_servers(&self) -> &[Arc<NfsServer>] {
         &self.replica_servers
     }
@@ -1022,4 +753,71 @@ fn synthetic_peer(world: &SessionMaterial) -> ValidatedPeer {
         effective_dn: world.user.effective_dn().clone(),
         via_proxy: false,
     }
+}
+
+/// A file server host exporting `/GFS` to localhost. The export is owned
+/// by the file account so mapped users can work in it.
+fn file_host(vfs: Arc<Vfs>) -> Result<(Arc<NfsServer>, Fh3), SessionError> {
+    let root_ctx = UserContext::root();
+    vfs.mkdir_p("/GFS", 0o755, &root_ctx).expect("export tree");
+    let attr = vfs.resolve("/GFS", &root_ctx).expect("just created");
+    let owner =
+        sgfs_vfs::SetAttrs { uid: Some(FILE_UID), gid: Some(FILE_UID), ..Default::default() };
+    vfs.setattr(attr.ino, &owner, &root_ctx).expect("chown export");
+    let mut exports = Exports::new();
+    exports.add(ExportEntry::localhost("/GFS"));
+    // The trusted proxy presents mapped credentials; no squashing.
+    let server = NfsServer::new_no_squash(vfs, exports);
+    let root = server
+        .mount("/GFS", "localhost")
+        .ok_or_else(|| SessionError::Mount("/GFS not exported to localhost".into()))?;
+    Ok((server, root))
+}
+
+/// The server end of one inter-proxy channel, before it is pinned.
+enum Downstream {
+    Plain(sgfs_net::BoxStream),
+    Tls(Box<GtlsStream>),
+}
+
+/// Lay a fresh inter-proxy channel over `link`: plain, or with the two
+/// resumable GTLS handshake machines alternated on this thread until both
+/// complete — no handshake thread. Readiness must observe the raw wire,
+/// beneath GTLS: arrivals are arrivals regardless of what decrypts them.
+fn dial(
+    link: &Arc<Link>,
+    client: Option<GtlsConfig>,
+    server: Option<GtlsConfig>,
+) -> Result<(Upstream, PipeWatch, Downstream, PipeWatch), GtlsError> {
+    let (wire_client, wire_server) = pipe_pair_over_link(link.clone());
+    let (client_watch, server_watch) = (wire_client.watch(), wire_server.watch());
+    let (up, down) = match (client, server) {
+        (Some(ccfg), Some(scfg)) => {
+            let (client_tls, server_tls) = handshake_pair(
+                GtlsHandshake::client(Box::new(wire_client), Some(client_watch.clone()), ccfg),
+                GtlsHandshake::server(Box::new(wire_server), Some(server_watch.clone()), scfg),
+            )?;
+            (Upstream::Tls(Box::new(client_tls)), Downstream::Tls(Box::new(server_tls)))
+        }
+        _ => (Upstream::Plain(Box::new(wire_client)), Downstream::Plain(Box::new(wire_server))),
+    };
+    Ok((up, client_watch, down, server_watch))
+}
+
+/// Pin a channel's server end onto the shard core behind `proxy`,
+/// attributing its record crypto to the proxy's CPU account.
+fn serve(
+    shards: &ShardServer,
+    down: Downstream,
+    watch: PipeWatch,
+    proxy: &Arc<ServerProxy>,
+) -> std::io::Result<()> {
+    let stream: sgfs_net::BoxStream = match down {
+        Downstream::Plain(s) => s,
+        Downstream::Tls(mut t) => {
+            t.busy_counter = Some(proxy.stats().busy_counter());
+            t
+        }
+    };
+    shards.add_session(stream, watch, proxy.clone()).map(|_| ())
 }

@@ -571,7 +571,7 @@ fn rejoining_replica_is_resynced_from_the_journal() {
     proxy.resync_member(victim).expect("re-sync");
     assert_eq!(proxy.missed_blocks(victim), 0, "re-sync drained the missed set");
     assert_eq!(proxy.stats().degraded(), 0, "member is back in the write set");
-    assert!(proxy.stripe().unwrap().is_up(victim));
+    assert!(proxy.stripe().is_up(victim));
     drop(proxy);
 
     // The rejoined member now holds the oracle content for every block
@@ -736,7 +736,7 @@ fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
     // Rung 0: the host refuses dials — re-sync must fail closed.
     assert!(proxy.resync_member(victim).is_err(), "re-sync with the host down");
     assert_eq!(proxy.stats().degraded(), 1, "degraded survives a refused dial");
-    assert!(!proxy.stripe().unwrap().is_up(victim));
+    assert!(!proxy.stripe().is_up(victim));
 
     // Rung 1: the dial connects to a dead wire. Nothing is replayed
     // (empty missed set), so only the probe stands between this zombie
@@ -744,14 +744,14 @@ fn empty_missed_set_rejoin_probes_the_channel_before_resetting_degraded() {
     host_mode.store(1, Ordering::Release);
     assert!(proxy.resync_member(victim).is_err(), "probe must fail on a dead wire");
     assert_eq!(proxy.stats().degraded(), 1, "degraded survives a dead-wire dial");
-    assert!(!proxy.stripe().unwrap().is_up(victim));
+    assert!(!proxy.stripe().is_up(victim));
 
     // Rung 2: the host is really back; the probe proves the channel and
     // the gauge resets.
     host_mode.store(2, Ordering::Release);
     proxy.resync_member(victim).expect("re-sync over the healthy channel");
     assert_eq!(proxy.stats().degraded(), 0, "fully re-synced stripe reports degraded == 0");
-    assert!(proxy.stripe().unwrap().is_up(victim));
+    assert!(proxy.stripe().is_up(victim));
 
     // And the rejoined member serves its share of reads again.
     let mut driver = Driver::start(proxy);

@@ -18,7 +18,7 @@
 //!    mid-stream.
 
 use sgfs::config::{RetryPolicy, SecurityLevel, SessionConfig};
-use sgfs::proxy::client::Upstream;
+use sgfs::proxy::client::{ClientProxy, Upstream};
 use sgfs::proxy::pipeline::Pipeline;
 use sgfs::proxy::server::ServerProxy;
 use sgfs::session::{GridWorld, SessionMaterial, FILE_UID, JOB_UID};
@@ -43,6 +43,22 @@ const ROUNDS: usize = 12;
 /// process, so they must not overlap; everything else in this binary is
 /// free to run in parallel with them.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// The process thread count once it has held still for 20 ms: a
+/// baseline taken while a finished case's threads (its harness thread,
+/// pool workers being joined) are still leaving would be off by them.
+fn quiesced_thread_count() -> Option<usize> {
+    let mut last = process_thread_count()?;
+    for _ in 0..100 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let now = process_thread_count()?;
+        if now == last {
+            return Some(now);
+        }
+        last = now;
+    }
+    Some(last)
+}
 
 /// Poll until `cond` holds or ~2 s elapse (thread exits and pool
 /// retirements are asynchronous but fast).
@@ -201,7 +217,7 @@ fn build_session(
 #[test]
 fn sixty_four_sessions_one_sharded_server() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let threads_before = process_thread_count();
+    let threads_before = quiesced_thread_count();
 
     let world = GridWorld::new().material();
     let (server, root_fh) = nfsd();
@@ -324,7 +340,7 @@ impl sgfs_oncrpc::RecordService for PooledEcho {
 #[test]
 fn two_hundred_fifty_six_pipelines_one_client_pool() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let t0 = process_thread_count();
+    let t0 = quiesced_thread_count();
 
     let shards = ShardServer::new(SHARDS);
     let pool = ClientIoPool::new(CLIENT_POOL);
@@ -348,17 +364,30 @@ fn two_hundred_fifty_six_pipelines_one_client_pool() {
         .unwrap();
         pipelines.push((i, p));
     }
+    // A read-ahead client proxy on the same pool: its upstream is one
+    // more pooled pipeline, and its read-ahead worker the single thread
+    // it may add — joined when the proxy drops.
+    let (up_end, server_end) = pipe_pair();
+    let watch = server_end.watch();
+    shards.add_session(Box::new(server_end), watch, Arc::new(PooledEcho)).unwrap();
+    let mut config = SessionConfig::new(SecurityLevel::None);
+    config.client_pool = Some(pool.clone());
+    config.readahead = 4;
+    let up_watch = up_end.watch();
+    let mut proxy = ClientProxy::new(Upstream::Plain(Box::new(up_end)), up_watch, &config).unwrap();
+    drop(config);
+    proxy.start_readahead();
     assert!(
-        wait_for(|| pool.active_conns() == PIPELINES),
+        wait_for(|| pool.active_conns() == PIPELINES + 1),
         "every pipeline pinned to the pool (got {})",
         pool.active_conns()
     );
 
     // Ceiling while everything is live: the shard pool plus the client
-    // pool, never a thread per pipeline.
+    // pool and the read-ahead worker, never a thread per pipeline.
     if let (Some(before), Some(now)) = (t0, process_thread_count()) {
         assert!(
-            now <= before + SHARDS + CLIENT_POOL + 2,
+            now <= before + SHARDS + CLIENT_POOL + 1 + 2,
             "256 pipelines must cost pool workers, not reader threads \
              (before={before}, now={now}, shards={SHARDS}, pool={CLIENT_POOL})"
         );
@@ -406,6 +435,7 @@ fn two_hundred_fifty_six_pipelines_one_client_pool() {
     // (stats flushed, no join leaks) and the thread count returns to the
     // exact pre-test baseline once the pools themselves are gone.
     drop(finished);
+    drop(proxy);
     assert!(
         wait_for(|| pool.active_conns() == 0),
         "all pipeline slots retired after the last handle dropped"

@@ -80,7 +80,7 @@ run_watchdog 120 crypto_kat     cargo test -q -p sgfs-crypto --lib -- ghash:: gc
 run_watchdog 120 prop_crypto    cargo test -q -p sgfs-crypto --test prop_crypto
 run_watchdog 120 gtls_negotiation cargo test -q -p sgfs-gtls --test negotiation
 
-cargo test -q
+cargo test -q --workspace
 cargo bench --no-run
 
 # The repository benchmark's own tests (a separate cargo package with an
